@@ -309,7 +309,8 @@ fn push_u64_map(out: &mut String, map: &BTreeMap<String, u64>) {
 }
 
 /// JSON-escapes and quotes a string.
-pub(crate) fn json_string(s: &str) -> String {
+#[must_use]
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -115,7 +115,8 @@ pub enum Stage {
     QueueWait,
     /// Shard workers applying the batch (route + ingest + collect).
     EngineApply,
-    /// Commit broadcast and epoch snapshot publish.
+    /// Commit broadcast: every shard commits and cuts the snapshot it
+    /// publishes.
     Publish,
     /// Appending the encoded record to the WAL.
     WalAppend,

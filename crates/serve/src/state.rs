@@ -3,7 +3,7 @@
 //!
 //! Writers serialize through one mutex around the backend; readers never
 //! touch that mutex — they clone a [`ReadHandle`] out of an `RwLock` and
-//! query the engine's epoch-published snapshots lock-free. When the
+//! query the engine's published generation lock-free. When the
 //! durable layer recovers from a fault it builds a *new* engine, so the
 //! handle is re-pointed at the fresh engine under the write lock.
 
@@ -38,14 +38,6 @@ pub enum Backend {
         /// The WAL/checkpoint directory, kept for in-place recovery.
         dir: PathBuf,
     },
-}
-
-/// Whether a batch error is the engine's typed poisoned error. A ticket
-/// can resolve via channel disconnect an instant before the supervisor
-/// stores the poison flag, so the flag alone under-reports; the message
-/// check closes that race (the batch was NOT a bad request).
-fn is_poison_panic(e: &BatchError) -> bool {
-    matches!(&e.cause, BatchCause::WorkerPanic(msg) if msg.contains("poisoned"))
 }
 
 /// What one `try_batch` attempt concluded.
@@ -100,7 +92,7 @@ impl Backend {
                     recovered: false,
                 },
                 Err(e) => {
-                    if engine.is_poisoned() || is_poison_panic(&e) {
+                    if engine.is_poisoned() {
                         BatchOutcome::Poisoned(e.to_string())
                     } else {
                         BatchOutcome::Rejected(e)
@@ -122,7 +114,7 @@ impl Backend {
                     Err(e) => match &e.cause {
                         BatchCause::Row(_) => BatchOutcome::Rejected(e),
                         BatchCause::WorkerPanic(_) => {
-                            if eng.engine().is_poisoned() || is_poison_panic(&e) {
+                            if eng.engine().is_poisoned() {
                                 BatchOutcome::Poisoned(e.to_string())
                             } else {
                                 BatchOutcome::Rejected(e)

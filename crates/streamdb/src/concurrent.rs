@@ -10,37 +10,32 @@
 //! * **Long-lived shard workers.** N worker threads, each *owning* a
 //!   complete [`SketchEngine`] shard for the engine's whole lifetime
 //!   (not scoped per batch). A coordinator thread serializes mutating
-//!   commands and feeds row indices to workers over bounded channels —
-//!   the same routing, supervision, and undo-log machinery as
-//!   [`ShardedEngine`], so per-group results stay *identical* to the
-//!   sequential engine.
+//!   commands and runs the same batch protocol (the crate-private
+//!   `Router`) as [`ShardedEngine`], so per-group results stay
+//!   *identical* to the sequential engine.
 //! * **Submit/poll ingest.** [`ConcurrentEngine::submit_batch`] takes
 //!   `&self`, enqueues the batch, and returns a [`BatchTicket`];
 //!   [`BatchTicket::poll`] / [`BatchTicket::wait`] resolve it to the same
 //!   [`BatchSummary`] / [`BatchError`] the synchronous engines report,
 //!   with batch-level rollback and quarantine semantics preserved.
-//! * **Published snapshots with epochs.** After every committed batch
-//!   (and every flush/merge) a worker publishes an immutable
-//!   `Arc<SketchEngine>` snapshot of its shard into a shared slot and
-//!   bumps the shard's epoch counter. Reads —
-//!   [`report`](ConcurrentEngine::report),
-//!   [`groups`](ConcurrentEngine::groups), metrics, snapshots — clone the
-//!   latest published `Arc` (a pointer copy under a lock held only for
-//!   the swap/clone instant) and never touch worker state, so queries
-//!   are never blocked behind ingest work and ingest never waits for
-//!   readers.
-//! * **Published slim views.** Each publish also cuts the shard's
-//!   [`EngineView`] — the read half of the read/write split — into its
-//!   own slot. [`ConcurrentEngine::query_view`] /
-//!   [`ReadHandle::query_view`] union the per-shard views (exact: every
-//!   group lives in one shard), so a serving tier can ship the slim
-//!   query side over the wire instead of fat snapshot bytes, at the same
-//!   epoch granularity as the fat publication.
+//! * **One published generation.** When a job changes shard state (a
+//!   commit, flush or merge), every worker cuts an immutable copy of its
+//!   shard plus its slim [`EngineView`] — in parallel — and returns the
+//!   cut in its reply. Once every shard has replied, the coordinator
+//!   swaps one `Generation` (all shard cuts, the router state, and a
+//!   sequence number) into a single shared slot, then answers the job.
+//!   Reads — [`ReadHandle::report`], [`ReadHandle::query_view`],
+//!   metrics, snapshots — clone that one `Arc` (a pointer copy under a
+//!   lock held only for the copy) and never touch worker state, so
+//!   queries are never blocked behind ingest work and ingest never waits
+//!   for readers. [`ConcurrentEngine`]'s read methods forward to its own
+//!   [`ReadHandle`].
 //!
 //! # Consistency model
 //!
-//! Reads serve the **latest published epoch**: a prefix of the submitted
-//! stream. The lag is bounded by what is queued plus in flight — at most
+//! Reads serve the **latest published generation**: a prefix of the
+//! submitted stream, cut at one committed-batch boundary on every shard
+//! at once. The lag is bounded by what is queued plus in flight — at most
 //! the submit-queue capacity plus one resolving batch — and is exported
 //! as the `publish_lag_rows` gauge. A batch is published *before* its
 //! ticket resolves, so once [`BatchTicket::wait`] returns, every
@@ -54,12 +49,12 @@
 //! Worker panics during ingest are contained per batch (the shared
 //! `worker_ingest` supervisor) and roll the whole batch back. If a
 //! worker or the coordinator *thread* dies outright, the engine is
-//! **poisoned** ([`ConcurrentEngine::is_poisoned`]): outstanding and
-//! future tickets resolve to a typed [`BatchError`], mutating calls
-//! become typed errors or no-ops, and reads keep serving the last
-//! published epoch — degraded to read-only rather than wedged.
+//! **poisoned** ([`ConcurrentEngine::is_poisoned`]) before any of the
+//! dying thread's channels disconnect: outstanding and future tickets
+//! resolve to a typed [`BatchError`], mutating calls become typed errors
+//! or no-ops, and reads keep serving the last published generation —
+//! degraded to read-only rather than wedged.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -71,12 +66,15 @@ use sketches_obs::{Clock, MetricsSnapshot, Stage, TraceContext};
 
 use crate::engine::{EngineConfig, SketchEngine};
 use crate::fault::{
-    BatchCause, BatchError, BatchSummary, DeadLetters, FaultInjector, FaultPolicy, QuarantinedRow,
+    BatchCause, BatchError, BatchSummary, DeadLetters, FaultInjector, FaultPolicy,
     INJECTED_PANIC_MARKER,
 };
-use crate::metrics::{names, EngineMetrics};
+use crate::metrics::names;
 use crate::query::{AggregateResult, QuerySpec};
-use crate::sharded::{worker_ingest, ShardedEngine, WorkerOutcome, DEFAULT_CHANNEL_DEPTH};
+use crate::sharded::{
+    shard_of, worker_ingest, Router, ShardedEngine, WindowRows, WorkerOutcome,
+    DEFAULT_CHANNEL_DEPTH,
+};
 use crate::value::{Row, Value};
 use crate::view::EngineView;
 
@@ -96,9 +94,6 @@ const WORKER_CMD_DEPTH: usize = 4;
 /// engine can linger before it resolves to the typed poisoned error.
 const POISON_POLL: Duration = Duration::from_millis(25);
 
-/// The ascending-key window listing both flush paths resolve to.
-type WindowRows = Vec<(Vec<Value>, Vec<AggregateResult>)>;
-
 /// The typed error every ticket and mutating call resolves to once the
 /// engine is poisoned (a worker or coordinator thread died).
 fn poisoned_batch_error() -> BatchError {
@@ -115,42 +110,85 @@ fn poisoned_sketch_error() -> SketchError {
     SketchError::incompatible("concurrent engine poisoned: a worker or coordinator thread died")
 }
 
-/// Read-side state shared between the engine handle, the coordinator,
-/// and the workers. Everything here is either atomic or swapped under a
-/// lock held only for the pointer exchange.
+/// Read-side state shared between the engine handle, its read handles,
+/// the coordinator, and the workers. Everything here is either atomic or
+/// swapped under a lock held only for the pointer exchange.
 #[derive(Debug)]
 struct Shared {
-    /// Latest published snapshot per shard. The write lock is held only
-    /// for an `Arc` swap, the read lock only for an `Arc` clone, so
-    /// readers and publishers exchange a pointer, never sketch work.
-    published: Vec<RwLock<Arc<SketchEngine>>>,
-    /// Latest published slim view per shard, cut at the same instant as
-    /// the fat snapshot above — the read half of the read/write split,
-    /// what [`ConcurrentEngine::query_view`] unions.
-    views: Vec<RwLock<Arc<EngineView>>>,
-    /// Publish epoch per shard: bumped after each snapshot swap.
-    epochs: Vec<AtomicU64>,
-    /// Latest published router state (dead letters, metrics, policy).
-    router: RwLock<RouterPublished>,
+    /// The latest published generation. The write lock is held only for
+    /// an `Arc` swap, the read lock only for an `Arc` clone, so readers
+    /// and the coordinator exchange a pointer, never sketch work.
+    generation: RwLock<Arc<Generation>>,
     /// Rows handed to `submit_batch` so far.
     rows_submitted: AtomicU64,
     /// Rows whose batch has resolved (committed *or* rolled back).
     rows_resolved: AtomicU64,
     /// Ingest jobs submitted but not yet resolved.
     queue_depth: AtomicU64,
-    /// Snapshot publishes across all shards (commit, flush, merge).
-    snapshots_published: AtomicU64,
     /// Set when a worker or the coordinator thread dies.
     poisoned: AtomicBool,
 }
 
-/// The router-level state snapshot published after every job.
-#[derive(Debug, Clone)]
-struct RouterPublished {
-    dead: DeadLetters,
-    metrics: EngineMetrics,
-    policy: FaultPolicy,
+impl Shared {
+    fn poison(&self) {
+        self.poisoned.store(true, Ordering::Release);
+    }
 }
+
+/// One shard's published state: an immutable copy of the shard and the
+/// slim view cut from it at the same instant.
+#[derive(Debug)]
+struct ShardCut {
+    engine: SketchEngine,
+    view: EngineView,
+}
+
+impl ShardCut {
+    fn of(shard: &SketchEngine) -> Arc<Self> {
+        Arc::new(Self {
+            engine: shard.clone(),
+            view: shard.query_view(),
+        })
+    }
+}
+
+/// One published cut of the whole engine, swapped in as a unit: every
+/// shard holds the same committed batches, and the router state
+/// (policy, dead letters, metrics) matches them.
+#[derive(Debug)]
+struct Generation {
+    /// Publish sequence: bumped each time the shard cuts are replaced
+    /// (commit, flush, merge). Reported as every shard's `publish_epoch`.
+    seq: u64,
+    shards: Vec<Arc<ShardCut>>,
+    router: Router,
+}
+
+impl Generation {
+    fn engines(&self) -> impl Iterator<Item = &SketchEngine> {
+        self.shards.iter().map(|cut| &cut.engine)
+    }
+}
+
+/// Poisons the engine when dropped during a panic. A dying thread drops
+/// it before the channels it owns, so nobody can observe one of those
+/// channels disconnect while the poisoned flag is still clear.
+#[derive(Debug)]
+struct PoisonOnUnwind<'a>(&'a Shared);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poison();
+        }
+    }
+}
+
+/// A settings change applied to one shard in place.
+type ShardFn = Arc<dyn Fn(&mut SketchEngine) + Send + Sync>;
+
+/// A worker's reply, tagged with the replying shard.
+type Reply<T> = channel::Sender<(usize, T)>;
 
 /// Jobs the engine handle sends to the coordinator thread. One bounded
 /// queue serializes all mutations, so job effects are applied (and
@@ -171,13 +209,16 @@ enum Job {
         done: channel::Sender<SketchResult<WindowRows>>,
     },
     MergeFrom {
-        // Boxed: the inline dead-letter + metrics payload would dominate
-        // the Job enum's size, bloating every queued ingest.
-        state: Box<(Vec<SketchEngine>, DeadLetters, EngineMetrics)>,
+        // Boxed: the inline shard + router payload would dominate the Job
+        // enum's size, bloating every queued ingest.
+        state: Box<(Vec<SketchEngine>, Router)>,
         done: channel::Sender<SketchResult<()>>,
     },
-    SetPolicy {
-        policy: FaultPolicy,
+    /// A settings change (policy, metrics switch, clock) applied to the
+    /// router and mirrored into every shard.
+    Configure {
+        router: Box<dyn Fn(&mut Router) + Send>,
+        shard: ShardFn,
         done: channel::Sender<()>,
     },
     ArmFaults {
@@ -188,59 +229,43 @@ enum Job {
     DisarmFaults {
         done: channel::Sender<Vec<(usize, FaultInjector)>>,
     },
-    SetMetricsEnabled {
-        enabled: bool,
-        done: channel::Sender<()>,
-    },
-    SetClock {
-        clock: Arc<dyn Clock>,
-        done: channel::Sender<()>,
-    },
     /// Drill hook: the coordinator panics in place (sudden death), which
-    /// its supervisor turns into engine poisoning.
+    /// poisons the engine.
     Crash,
     Shutdown,
 }
 
-/// Commands the coordinator sends to one shard worker.
+/// Commands the coordinator sends to one shard worker. Commands that
+/// change shard state reply with the shard's fresh cut.
 enum Cmd {
     Ingest {
         rows: Arc<Vec<Row>>,
         indices: channel::Receiver<usize>,
-        outcome: channel::Sender<(usize, WorkerOutcome)>,
+        outcome: Reply<WorkerOutcome>,
     },
     Commit {
-        ack: channel::Sender<()>,
+        done: Reply<Arc<ShardCut>>,
     },
     Rollback {
-        ack: channel::Sender<()>,
+        done: Reply<()>,
     },
     FlushWindow {
-        done: channel::Sender<SketchResult<WindowRows>>,
+        done: Reply<(SketchResult<WindowRows>, Arc<ShardCut>)>,
     },
+    /// Merge `others[shard]` into the shard (one entry per shard).
     Merge {
-        other: Box<SketchEngine>,
-        done: channel::Sender<SketchResult<()>>,
+        others: Arc<Vec<SketchEngine>>,
+        done: Reply<SketchResult<Arc<ShardCut>>>,
     },
-    SetPolicy {
-        policy: FaultPolicy,
-        ack: channel::Sender<()>,
-    },
-    ArmFaults {
-        injector: FaultInjector,
-        ack: channel::Sender<()>,
+    Configure {
+        apply: ShardFn,
+        done: Reply<()>,
     },
     DisarmFaults {
-        done: channel::Sender<Option<FaultInjector>>,
+        done: Reply<Option<FaultInjector>>,
     },
-    SetMetricsEnabled {
-        enabled: bool,
-        ack: channel::Sender<()>,
-    },
-    SetClock {
-        clock: Arc<dyn Clock>,
-        ack: channel::Sender<()>,
-    },
+    /// Drop the shard's cut from a retired generation.
+    Retire(Arc<ShardCut>),
     Shutdown,
 }
 
@@ -334,17 +359,14 @@ impl BatchTicket {
 }
 
 /// A GROUP BY engine that serves queries *while* ingesting: long-lived
-/// shard workers, a submit/poll batch API, and epoch-published immutable
-/// snapshots for wait-free-style reads (see the module docs).
+/// shard workers, a submit/poll batch API, and one published generation
+/// of immutable snapshots for wait-free-style reads (see the module
+/// docs).
 #[derive(Debug)]
 pub struct ConcurrentEngine {
     submit_tx: channel::Sender<Job>,
-    shared: Arc<Shared>,
+    reader: ReadHandle,
     coordinator: Option<std::thread::JoinHandle<()>>,
-    spec: QuerySpec,
-    config: EngineConfig,
-    channel_depth: usize,
-    num_shards: usize,
 }
 
 impl ConcurrentEngine {
@@ -377,100 +399,54 @@ impl ConcurrentEngine {
         num_shards: usize,
         channel_depth: usize,
     ) -> SketchResult<Self> {
-        if num_shards == 0 {
-            return Err(SketchError::invalid(
-                "num_shards",
-                "need at least one shard",
-            ));
-        }
-        if channel_depth == 0 {
-            return Err(SketchError::invalid("channel_depth", "need capacity >= 1"));
-        }
-        let shards = (0..num_shards)
-            .map(|_| SketchEngine::with_config(spec.clone(), config))
-            .collect::<SketchResult<Vec<_>>>()?;
-        Ok(Self::from_parts(shards, spec, config, channel_depth))
+        let shards = ShardedEngine::new_shards(&spec, config, num_shards, channel_depth)?;
+        Ok(Self::from_parts(shards, Router::new(spec, channel_depth)))
     }
 
     /// Assembles the engine around pre-built shards (fresh construction
-    /// and snapshot restore share this path): publishes epoch-0
-    /// snapshots, spawns the workers, then the coordinator.
-    fn from_parts(
-        shards: Vec<SketchEngine>,
-        spec: QuerySpec,
-        config: EngineConfig,
-        channel_depth: usize,
-    ) -> Self {
-        let num_shards = shards.len();
+    /// and snapshot restore share this path): publishes generation 0,
+    /// spawns the workers, then the coordinator.
+    fn from_parts(shards: Vec<SketchEngine>, router: Router) -> Self {
         let shared = Arc::new(Shared {
-            published: shards
-                .iter()
-                .map(|s| RwLock::new(Arc::new(s.clone())))
-                .collect(),
-            views: shards
-                .iter()
-                .map(|s| RwLock::new(Arc::new(s.query_view())))
-                .collect(),
-            epochs: (0..num_shards).map(|_| AtomicU64::new(0)).collect(),
-            router: RwLock::new(RouterPublished {
-                dead: DeadLetters::default(),
-                metrics: EngineMetrics::new(),
-                policy: FaultPolicy::default(),
-            }),
+            generation: RwLock::new(Arc::new(Generation {
+                seq: 0,
+                shards: shards.iter().map(ShardCut::of).collect(),
+                router: router.clone(),
+            })),
             rows_submitted: AtomicU64::new(0),
             rows_resolved: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
-            snapshots_published: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
         });
 
-        let mut worker_txs = Vec::with_capacity(num_shards);
-        let mut worker_handles = Vec::with_capacity(num_shards);
+        let mut workers = Vec::with_capacity(shards.len());
+        let mut handles = Vec::with_capacity(shards.len());
         for (shard_id, shard) in shards.into_iter().enumerate() {
             let (cmd_tx, cmd_rx) = channel::bounded::<Cmd>(WORKER_CMD_DEPTH);
-            worker_txs.push(cmd_tx);
-            let worker_shared = Arc::clone(&shared);
-            worker_handles.push(std::thread::spawn(move || {
-                let poison_on_exit = Arc::clone(&worker_shared);
-                // lint: panic-boundary(worker supervisor: a dying shard worker must poison the engine, not abort the process)
-                let caught = catch_unwind(AssertUnwindSafe(move || {
-                    worker_main(shard, shard_id, &worker_shared, &cmd_rx);
-                }));
-                if caught.is_err() {
-                    poison_on_exit.poisoned.store(true, Ordering::Release);
-                }
+            workers.push(cmd_tx);
+            let shared = Arc::clone(&shared);
+            handles.push(std::thread::spawn(move || {
+                // The captured command channel drops after this guard.
+                let _poison = PoisonOnUnwind(&shared);
+                worker_main(shard, shard_id, &cmd_rx);
             }));
         }
 
         let (submit_tx, submit_rx) = channel::bounded::<Job>(SUBMIT_QUEUE_DEPTH);
-        let coordinator_shared = Arc::clone(&shared);
-        let coordinator_spec = spec.clone();
-        let coordinator = std::thread::spawn(move || {
-            let mut coordinator = Coordinator {
-                spec: coordinator_spec,
-                channel_depth,
-                worker_txs,
-                worker_handles,
-                fault_policy: FaultPolicy::default(),
-                router_dead: DeadLetters::default(),
-                router_metrics: EngineMetrics::new(),
-                shared: Arc::clone(&coordinator_shared),
-            };
-            // lint: panic-boundary(coordinator supervisor: a dying coordinator must poison the engine, not abort the process)
-            let caught = catch_unwind(AssertUnwindSafe(move || coordinator.run(&submit_rx)));
-            if caught.is_err() {
-                coordinator_shared.poisoned.store(true, Ordering::Release);
-            }
-        });
-
+        let mut coordinator = Coordinator {
+            router,
+            pool: Pool {
+                workers,
+                handles,
+                shared: Arc::clone(&shared),
+            },
+            cuts: None,
+        };
+        let coordinator = std::thread::spawn(move || coordinator.run(&submit_rx));
         Self {
             submit_tx,
-            shared,
+            reader: ReadHandle { shared },
             coordinator: Some(coordinator),
-            spec,
-            config,
-            channel_depth,
-            num_shards,
         }
     }
 
@@ -492,20 +468,18 @@ impl ConcurrentEngine {
     /// the request's root, and records the same durations into the
     /// `stage_latency{stage=...}` histograms.
     pub fn submit_batch_traced(&self, rows: Vec<Row>, ctx: TraceContext) -> BatchTicket {
+        let shared = &self.reader.shared;
         let n = rows.len() as u64;
         // One clock read on the submit path, and only when someone will
         // consume it: the queue-wait stage needs the submit timestamp.
         let submitted_at = {
-            let router = self.shared.router.read();
-            if router.metrics.enabled || ctx.is_sampled() {
-                Some(router.metrics.clock.now_nanos())
-            } else {
-                None
-            }
+            let generation = shared.generation.read();
+            let metrics = &generation.router.metrics;
+            (metrics.enabled || ctx.is_sampled()).then(|| metrics.clock.now_nanos())
         };
         let (done_tx, done_rx) = channel::bounded(1);
-        self.shared.rows_submitted.fetch_add(n, Ordering::Relaxed);
-        self.shared.queue_depth.fetch_add(1, Ordering::Relaxed);
+        shared.rows_submitted.fetch_add(n, Ordering::Relaxed);
+        shared.queue_depth.fetch_add(1, Ordering::Relaxed);
         if let Err(channel::SendError(job)) = self.submit_tx.send(Job::Ingest {
             rows,
             ctx,
@@ -514,8 +488,8 @@ impl ConcurrentEngine {
         }) {
             // Coordinator is gone: resolve the ticket immediately with the
             // poisoned error and undo the submission accounting.
-            self.shared.rows_resolved.fetch_add(n, Ordering::Relaxed);
-            self.shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
+            shared.rows_resolved.fetch_add(n, Ordering::Relaxed);
+            shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
             if let Job::Ingest { done, .. } = job {
                 let _ = done.send(Err(poisoned_batch_error()));
             }
@@ -523,38 +497,55 @@ impl ConcurrentEngine {
         BatchTicket {
             rx: done_rx,
             resolved: None,
-            shared: Arc::clone(&self.shared),
+            shared: Arc::clone(shared),
         }
+    }
+
+    /// Sends one job to the coordinator and blocks for its reply; `None`
+    /// when the coordinator is gone (the engine is poisoned).
+    fn call<T>(&self, job: impl FnOnce(channel::Sender<T>) -> Job) -> Option<T> {
+        let (done_tx, done_rx) = channel::bounded(1);
+        self.submit_tx.send(job(done_tx)).ok()?;
+        done_rx.recv().ok()
+    }
+
+    /// Applies a settings change to the router and every worker, blocking
+    /// until all have applied it (so the next submitted batch sees it).
+    /// No-op on a poisoned engine.
+    fn configure(
+        &mut self,
+        router: impl Fn(&mut Router) + Send + 'static,
+        shard: impl Fn(&mut SketchEngine) + Send + Sync + 'static,
+    ) {
+        let _ = self.call(|done| Job::Configure {
+            router: Box::new(router),
+            shard: Arc::new(shard),
+            done,
+        });
     }
 
     /// Whether a worker or coordinator thread has died. A poisoned engine
-    /// keeps serving reads from the last published epoch; every mutation
-    /// resolves to a typed error.
+    /// keeps serving reads from the last published generation; every
+    /// mutation resolves to a typed error.
     #[must_use]
     pub fn is_poisoned(&self) -> bool {
-        self.shared.poisoned.load(Ordering::Acquire)
+        self.reader.is_poisoned()
     }
 
-    /// A detached read handle over the published snapshots: the same
+    /// A detached read handle over the published generation: the same
     /// read API as the engine (`report`, `groups`, metrics, snapshot
     /// bytes), but cloneable, shareable across threads, and valid even
     /// after the engine is poisoned *or dropped* — it keeps serving the
-    /// last published epoch. This is the serving layer's read path.
+    /// last published generation. This is the serving layer's read path.
     #[must_use]
     pub fn reader(&self) -> ReadHandle {
-        ReadHandle {
-            shared: Arc::clone(&self.shared),
-            spec: self.spec.clone(),
-            config: self.config,
-            channel_depth: self.channel_depth,
-            num_shards: self.num_shards,
-        }
+        self.reader.clone()
     }
 
     /// Drill hook: kills the coordinator thread with an injected panic
     /// (sudden death, no worker shutdown), exactly what a crashed
-    /// coordinator looks like in production. The supervisor poisons the
-    /// engine; reads keep serving the last published epoch and every
+    /// coordinator looks like in production. The engine is poisoned;
+    /// reads keep serving the last published generation and every
     /// outstanding or future mutation resolves to a typed error. Pair
     /// with [`silence_injected_panics`](crate::silence_injected_panics)
     /// to keep drill output clean.
@@ -562,115 +553,89 @@ impl ConcurrentEngine {
         let _ = self.submit_tx.send(Job::Crash);
     }
 
-    /// The latest published snapshot of one shard (an `Arc` clone; the
-    /// slot lock is held only for the clone).
-    fn published_shard(&self, shard: usize) -> Arc<SketchEngine> {
-        Arc::clone(&self.shared.published[shard].read())
-    }
-
-    fn shard_of_key(&self, key: &[Value]) -> usize {
-        (ShardedEngine::key_hash(key.iter()) % self.num_shards as u64) as usize
-    }
-
-    /// The slim query-side view of the latest published epoch — the
-    /// per-shard published [`EngineView`]s unioned (exact; see the module
-    /// docs). Never blocked by in-flight ingest, and a fraction of the
-    /// size of [`to_snapshot_bytes`](Self::to_snapshot_bytes): this is
-    /// what a serving tier should ship.
+    /// The slim query-side view of the latest published generation; see
+    /// [`ReadHandle::query_view`]. This is what a serving tier should
+    /// ship.
     #[must_use]
     pub fn query_view(&self) -> EngineView {
-        merged_view(&self.shared, self.num_shards)
+        self.reader.query_view()
     }
 
-    /// Reports the aggregates of one group from the latest published
-    /// epoch (`None` if never seen there). Never blocked by in-flight
-    /// ingest; lags it by at most the published-snapshot window.
+    /// Reports one group from the latest published generation; see
+    /// [`ReadHandle::report`].
     ///
     /// # Errors
     /// Returns an error only for internal sketch query failures.
     pub fn report(&self, key: &[Value]) -> SketchResult<Option<Vec<AggregateResult>>> {
-        self.published_shard(self.shard_of_key(key)).report(key)
+        self.reader.report(key)
     }
 
-    /// All group keys in the latest published epoch, in ascending key
-    /// order across all shards (the unified listing contract).
+    /// All group keys in the latest published generation; see
+    /// [`ReadHandle::groups`].
     #[must_use]
     pub fn groups(&self) -> Vec<Vec<Value>> {
-        // lint: sorted-iteration-ok(per-shard listings collected then fully sorted by the key total order below)
-        let mut keys: Vec<Vec<Value>> = (0..self.num_shards)
-            .flat_map(|i| {
-                self.published_shard(i)
-                    .groups()
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        keys.sort();
-        keys
+        self.reader.groups()
     }
 
-    /// Groups tracked in the latest published epoch.
+    /// Groups tracked in the latest published generation.
     #[must_use]
     pub fn num_groups(&self) -> usize {
-        (0..self.num_shards)
-            .map(|i| self.published_shard(i).num_groups())
-            .sum()
+        self.reader.num_groups()
     }
 
-    /// Rows committed into the latest published epoch.
+    /// Rows committed into the latest published generation.
     #[must_use]
     pub fn rows_processed(&self) -> u64 {
-        (0..self.num_shards)
-            .map(|i| self.published_shard(i).rows_processed())
-            .sum()
+        self.reader.rows_processed()
     }
 
-    /// Sketch memory across the latest published epoch, in bytes.
+    /// Sketch memory across the latest published generation, in bytes.
     #[must_use]
     pub fn state_bytes(&self) -> usize {
-        (0..self.num_shards)
-            .map(|i| self.published_shard(i).state_bytes())
-            .sum()
+        self.reader.state_bytes()
     }
 
     /// Number of shards (fixed for the engine's lifetime).
     #[must_use]
     pub fn num_shards(&self) -> usize {
-        self.num_shards
+        self.reader.num_shards()
     }
 
-    /// The poison-row policy of the latest published epoch.
+    /// The poison-row policy of the latest published generation.
     #[must_use]
     pub fn fault_policy(&self) -> FaultPolicy {
-        self.shared.router.read().policy
+        self.reader.fault_policy()
+    }
+
+    /// Aggregated dead letters of the latest published generation; see
+    /// [`ReadHandle::dead_letters`].
+    #[must_use]
+    pub fn dead_letters(&self) -> DeadLetters {
+        self.reader.dead_letters()
+    }
+
+    /// Telemetry of the latest published generation; see
+    /// [`ReadHandle::metrics`].
+    #[must_use]
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.reader.metrics()
+    }
+
+    /// Serializes the latest published generation; see
+    /// [`ReadHandle::to_snapshot_bytes`].
+    #[must_use]
+    pub fn to_snapshot_bytes(&self) -> Vec<u8> {
+        self.reader.to_snapshot_bytes()
     }
 
     /// Sets the poison-row policy, blocking until the coordinator has
     /// mirrored it into every worker (so the next submitted batch sees
     /// it). No-op on a poisoned engine.
     pub fn set_fault_policy(&mut self, policy: FaultPolicy) {
-        let (done_tx, done_rx) = channel::bounded(1);
-        if self
-            .submit_tx
-            .send(Job::SetPolicy {
-                policy,
-                done: done_tx,
-            })
-            .is_ok()
-        {
-            let _ = done_rx.recv();
-        }
-    }
-
-    /// Aggregated dead letters of the latest published epoch: router
-    /// quarantine plus every shard's, samples stamped with their shard.
-    #[must_use]
-    pub fn dead_letters(&self) -> DeadLetters {
-        let mut all = self.shared.router.read().dead.clone();
-        for i in 0..self.num_shards {
-            all.absorb(&self.published_shard(i).dead_letters(), Some(i));
-        }
-        all
+        self.configure(
+            move |router| router.set_policy(policy),
+            move |shard| shard.set_fault_policy(policy),
+        );
     }
 
     /// Arms a deterministic fault injector on one shard worker (recovery
@@ -680,172 +645,68 @@ impl ConcurrentEngine {
     /// Returns an error if `shard` is out of range or the engine is
     /// poisoned.
     pub fn arm_faults(&mut self, shard: usize, injector: FaultInjector) -> SketchResult<()> {
-        let (done_tx, done_rx) = channel::bounded(1);
-        if self
-            .submit_tx
-            .send(Job::ArmFaults {
-                shard,
-                injector,
-                done: done_tx,
-            })
-            .is_err()
-        {
-            return Err(poisoned_sketch_error());
-        }
-        done_rx
-            .recv()
-            .unwrap_or_else(|_| Err(poisoned_sketch_error()))
+        self.call(|done| Job::ArmFaults {
+            shard,
+            injector,
+            done,
+        })
+        .unwrap_or_else(|| Err(poisoned_sketch_error()))
     }
 
     /// Disarms the fault injectors on every shard worker, returning each
     /// armed injector with its shard index (empty on a poisoned engine).
     pub fn disarm_faults(&mut self) -> Vec<(usize, FaultInjector)> {
-        let (done_tx, done_rx) = channel::bounded(1);
-        if self
-            .submit_tx
-            .send(Job::DisarmFaults { done: done_tx })
-            .is_err()
-        {
-            return Vec::new();
-        }
-        done_rx.recv().unwrap_or_default()
+        self.call(|done| Job::DisarmFaults { done })
+            .unwrap_or_default()
     }
 
     /// Enables or disables metric recording on the router and every
     /// worker (on by default). No-op on a poisoned engine.
     pub fn set_metrics_enabled(&mut self, enabled: bool) {
-        let (done_tx, done_rx) = channel::bounded(1);
-        if self
-            .submit_tx
-            .send(Job::SetMetricsEnabled {
-                enabled,
-                done: done_tx,
-            })
-            .is_ok()
-        {
-            let _ = done_rx.recv();
-        }
+        self.configure(
+            move |router| router.metrics.enabled = enabled,
+            move |shard| shard.set_metrics_enabled(enabled),
+        );
     }
 
     /// Installs the time source behind the batch-latency histograms on
     /// the router and every worker. No-op on a poisoned engine.
     pub fn set_clock(&mut self, clock: Arc<dyn Clock>) {
-        let (done_tx, done_rx) = channel::bounded(1);
-        if self
-            .submit_tx
-            .send(Job::SetClock {
-                clock,
-                done: done_tx,
-            })
-            .is_ok()
-        {
-            let _ = done_rx.recv();
-        }
+        let shard_clock = Arc::clone(&clock);
+        self.configure(
+            move |router| router.metrics.clock = Arc::clone(&clock),
+            move |shard| shard.set_clock(Arc::clone(&shard_clock)),
+        );
     }
 
     /// Finishes a tumbling window against the *worker* state (every
     /// submitted batch ahead of this call is applied first — jobs are
     /// FIFO): every group's report in ascending key order, then a full
-    /// reset, published as a new epoch.
+    /// reset, published as a new generation.
     ///
     /// # Errors
     /// Propagates report errors, or a typed error on a poisoned engine.
     pub fn flush_window(&mut self) -> SketchResult<Vec<(Vec<Value>, Vec<AggregateResult>)>> {
-        let (done_tx, done_rx) = channel::bounded(1);
-        if self
-            .submit_tx
-            .send(Job::FlushWindow { done: done_tx })
-            .is_err()
-        {
-            return Err(poisoned_sketch_error());
-        }
-        done_rx
-            .recv()
-            .unwrap_or_else(|_| Err(poisoned_sketch_error()))
+        self.call(|done| Job::FlushWindow { done })
+            .unwrap_or_else(|| Err(poisoned_sketch_error()))
     }
 
-    /// Merges another concurrent engine's **latest published epoch** into
-    /// this one (distributed GROUP BY). Quiesce `other` first (resolve
-    /// its tickets) to merge its complete state; shard counts must match,
-    /// as for [`ShardedEngine::merge`].
+    /// Merges another concurrent engine's **latest published generation**
+    /// into this one (distributed GROUP BY). Quiesce `other` first
+    /// (resolve its tickets) to merge its complete state; shard counts
+    /// must match, as for [`ShardedEngine::merge`].
     ///
     /// # Errors
     /// Returns an error if shard counts or specs/configs differ, or if
     /// either engine is poisoned.
     pub fn merge(&mut self, other: &Self) -> SketchResult<()> {
-        if self.num_shards != other.num_shards {
+        let theirs = other.reader.generation();
+        if self.num_shards() != theirs.shards.len() {
             return Err(SketchError::incompatible("shard counts differ"));
         }
-        let shards: Vec<SketchEngine> = (0..other.num_shards)
-            .map(|i| (*other.published_shard(i)).clone())
-            .collect();
-        let router = other.shared.router.read().clone();
-        let (done_tx, done_rx) = channel::bounded(1);
-        if self
-            .submit_tx
-            .send(Job::MergeFrom {
-                state: Box::new((shards, router.dead, router.metrics)),
-                done: done_tx,
-            })
-            .is_err()
-        {
-            return Err(poisoned_sketch_error());
-        }
-        done_rx
-            .recv()
-            .unwrap_or_else(|_| Err(poisoned_sketch_error()))
-    }
-
-    /// Cuts a telemetry snapshot from the latest published epoch: the
-    /// router block plus every shard's, with the concurrent-serving
-    /// gauges — `publish_epoch{shard}`, `publish_lag_rows`,
-    /// `submit_queue_depth` — and the `snapshots_published_total`
-    /// counter.
-    #[must_use]
-    pub fn metrics(&self) -> MetricsSnapshot {
-        let router = self.shared.router.read().clone();
-        let mut snap = router.metrics.snapshot();
-        for i in 0..self.num_shards {
-            let shard = self.published_shard(i);
-            snap.merge(&shard.metrics())
-                // lint: panic-ok(every obs histogram shares one fixed (k, seed), so snapshot merge cannot fail)
-                .expect("obs snapshots share one KLL shape");
-            snap.add_gauge(&names::shard_rows_routed(i), shard.rows_processed());
-            snap.add_gauge(
-                &names::publish_epoch(i),
-                self.shared.epochs[i].load(Ordering::Acquire),
-            );
-        }
-        snap.add_gauge(names::SHARDS, self.num_shards as u64);
-        snap.add_gauge(
-            names::SUBMIT_QUEUE_DEPTH,
-            self.shared.queue_depth.load(Ordering::Relaxed),
-        );
-        let submitted = self.shared.rows_submitted.load(Ordering::Relaxed);
-        let resolved = self.shared.rows_resolved.load(Ordering::Relaxed);
-        snap.add_gauge(names::PUBLISH_LAG_ROWS, submitted.saturating_sub(resolved));
-        snap.add_counter(
-            names::SNAPSHOTS_PUBLISHED,
-            self.shared.snapshots_published.load(Ordering::Relaxed),
-        );
-        snap
-    }
-
-    /// Serializes the latest published epoch as a checksummed snapshot —
-    /// **byte-identical to [`ShardedEngine::to_snapshot_bytes`]** on the
-    /// same shards, so state moves freely between the two topologies.
-    #[must_use]
-    pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let shards: Vec<SketchEngine> = (0..self.num_shards)
-            .map(|i| (*self.published_shard(i)).clone())
-            .collect();
-        ShardedEngine::from_restored_shards(
-            shards,
-            self.spec.clone(),
-            self.config,
-            self.channel_depth,
-        )
-        .to_snapshot_bytes()
+        let state = Box::new((theirs.engines().cloned().collect(), theirs.router.clone()));
+        self.call(|done| Job::MergeFrom { state, done })
+            .unwrap_or_else(|| Err(poisoned_sketch_error()))
     }
 
     /// Restores a concurrent engine from a sharded-kind snapshot
@@ -857,40 +718,29 @@ impl ConcurrentEngine {
     /// hold a sequential-engine snapshot.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> SketchResult<Self> {
         let restored = ShardedEngine::from_snapshot_bytes(bytes)?;
-        let ShardedEngine {
-            shards,
-            spec,
-            config,
-            channel_depth,
-            ..
-        } = restored;
-        Ok(Self::from_parts(shards, spec, config, channel_depth))
+        Ok(Self::from_parts(restored.shards, restored.router))
     }
 }
 
 /// A cloneable, thread-safe read-only view of a [`ConcurrentEngine`]'s
-/// published snapshots — the serving layer's read path.
+/// published generation — the engine's one read implementation and the
+/// serving layer's read path.
 ///
-/// The handle holds only the shared publish slots, so it stays valid
+/// The handle holds only the shared publish slot, so it stays valid
 /// through engine poisoning *and past engine drop*: a server can keep
-/// answering queries from the last published epoch while the write path
-/// is being recovered or torn down (graceful degradation to read-only).
-/// All methods mirror the engine's read API and are never blocked by
-/// ingest — each one clones an `Arc` under a lock held only for the
-/// pointer copy.
+/// answering queries from the last published generation while the write
+/// path is being recovered or torn down (graceful degradation to
+/// read-only). Every method reads one generation — a committed-batch
+/// boundary on every shard at once — and is never blocked by ingest: it
+/// clones an `Arc` under a lock held only for the pointer copy.
 #[derive(Debug, Clone)]
 pub struct ReadHandle {
     shared: Arc<Shared>,
-    spec: QuerySpec,
-    config: EngineConfig,
-    channel_depth: usize,
-    num_shards: usize,
 }
 
 impl ReadHandle {
-    /// The latest published snapshot of one shard (an `Arc` clone).
-    fn published_shard(&self, shard: usize) -> Arc<SketchEngine> {
-        Arc::clone(&self.shared.published[shard].read())
+    fn generation(&self) -> Arc<Generation> {
+        Arc::clone(&self.shared.generation.read())
     }
 
     /// Whether the engine behind this handle has been poisoned (a worker
@@ -902,69 +752,77 @@ impl ReadHandle {
     }
 
     /// Reports the aggregates of one group from the latest published
-    /// epoch (`None` if never seen there).
+    /// generation (`None` if never seen there). The group lives in
+    /// exactly one shard, found by re-hashing the key.
     ///
     /// # Errors
     /// Returns an error only for internal sketch query failures.
     pub fn report(&self, key: &[Value]) -> SketchResult<Option<Vec<AggregateResult>>> {
-        let shard = (ShardedEngine::key_hash(key.iter()) % self.num_shards as u64) as usize;
-        self.published_shard(shard).report(key)
+        let generation = self.generation();
+        let shard = shard_of(key.iter(), generation.shards.len());
+        generation.shards[shard].engine.report(key)
     }
 
-    /// The slim query-side view of the latest published epoch, same as
-    /// [`ConcurrentEngine::query_view`] — available even after the engine
-    /// is poisoned or dropped (it keeps serving the last published
-    /// views).
+    /// The slim query-side view of the latest published generation: the
+    /// shard views unioned (exact — every group lives in one shard). A
+    /// fraction of the size of [`to_snapshot_bytes`](Self::to_snapshot_bytes).
     #[must_use]
     pub fn query_view(&self) -> EngineView {
-        merged_view(&self.shared, self.num_shards)
+        let generation = self.generation();
+        let mut out = generation.shards[0].view.clone();
+        for cut in &generation.shards[1..] {
+            out.merge(&cut.view)
+                // lint: panic-ok(every shard view is cut from a shard built with one shared spec, so the merge cannot fail)
+                .expect("shard views share one spec");
+        }
+        out
     }
 
-    /// All group keys in the latest published epoch, in ascending key
-    /// order across all shards.
+    /// All group keys in the latest published generation, in ascending
+    /// key order across all shards (the unified listing contract).
     #[must_use]
     pub fn groups(&self) -> Vec<Vec<Value>> {
         // lint: sorted-iteration-ok(per-shard listings collected then fully sorted by the key total order below)
-        let mut keys: Vec<Vec<Value>> = (0..self.num_shards)
-            .flat_map(|i| {
-                self.published_shard(i)
-                    .groups()
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
+        let mut keys: Vec<Vec<Value>> = self
+            .generation()
+            .engines()
+            .flat_map(|shard| shard.groups().cloned())
             .collect();
         keys.sort();
         keys
     }
 
-    /// Groups tracked in the latest published epoch.
+    /// Groups tracked in the latest published generation.
     #[must_use]
     pub fn num_groups(&self) -> usize {
-        (0..self.num_shards)
-            .map(|i| self.published_shard(i).num_groups())
+        self.generation()
+            .engines()
+            .map(SketchEngine::num_groups)
             .sum()
     }
 
-    /// Rows committed into the latest published epoch.
+    /// Rows committed into the latest published generation.
     #[must_use]
     pub fn rows_processed(&self) -> u64 {
-        (0..self.num_shards)
-            .map(|i| self.published_shard(i).rows_processed())
+        self.generation()
+            .engines()
+            .map(SketchEngine::rows_processed)
             .sum()
     }
 
-    /// Sketch memory across the latest published epoch, in bytes.
+    /// Sketch memory across the latest published generation, in bytes.
     #[must_use]
     pub fn state_bytes(&self) -> usize {
-        (0..self.num_shards)
-            .map(|i| self.published_shard(i).state_bytes())
+        self.generation()
+            .engines()
+            .map(SketchEngine::state_bytes)
             .sum()
     }
 
     /// Number of shards behind this handle.
     #[must_use]
     pub fn num_shards(&self) -> usize {
-        self.num_shards
+        self.generation().shards.len()
     }
 
     /// The envelope kind [`to_snapshot_bytes`](Self::to_snapshot_bytes)
@@ -976,51 +834,59 @@ impl ReadHandle {
         crate::SnapshotKind::Sharded
     }
 
-    /// Telemetry snapshot of the latest published epoch — the same block
-    /// [`ConcurrentEngine::metrics`] cuts, available without the engine.
+    /// The poison-row policy of the latest published generation.
+    #[must_use]
+    pub fn fault_policy(&self) -> FaultPolicy {
+        self.generation().router.policy
+    }
+
+    /// Aggregated dead letters of the latest published generation: router
+    /// quarantine plus every shard's, samples stamped with their shard.
+    #[must_use]
+    pub fn dead_letters(&self) -> DeadLetters {
+        let generation = self.generation();
+        generation.router.dead_letters(generation.engines())
+    }
+
+    /// Telemetry snapshot of the latest published generation: the router
+    /// block plus every shard's, with the concurrent-serving gauges —
+    /// `publish_epoch{shard}` (the generation sequence, on every shard),
+    /// `publish_lag_rows`, `submit_queue_depth` — and the
+    /// `snapshots_published_total` counter (one per shard per publish).
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        let router = self.shared.router.read().clone();
-        let mut snap = router.metrics.snapshot();
-        for i in 0..self.num_shards {
-            let shard = self.published_shard(i);
-            snap.merge(&shard.metrics())
-                // lint: panic-ok(every obs histogram shares one fixed (k, seed), so snapshot merge cannot fail)
-                .expect("obs snapshots share one KLL shape");
-            snap.add_gauge(&names::shard_rows_routed(i), shard.rows_processed());
-            snap.add_gauge(
-                &names::publish_epoch(i),
-                self.shared.epochs[i].load(Ordering::Acquire),
-            );
+        let generation = self.generation();
+        let mut snap = generation.router.metrics(generation.engines());
+        for i in 0..generation.shards.len() {
+            snap.add_gauge(&names::publish_epoch(i), generation.seq);
         }
-        snap.add_gauge(names::SHARDS, self.num_shards as u64);
+        let shared = &self.shared;
         snap.add_gauge(
             names::SUBMIT_QUEUE_DEPTH,
-            self.shared.queue_depth.load(Ordering::Relaxed),
+            shared.queue_depth.load(Ordering::Relaxed),
         );
-        let submitted = self.shared.rows_submitted.load(Ordering::Relaxed);
-        let resolved = self.shared.rows_resolved.load(Ordering::Relaxed);
+        let submitted = shared.rows_submitted.load(Ordering::Relaxed);
+        let resolved = shared.rows_resolved.load(Ordering::Relaxed);
         snap.add_gauge(names::PUBLISH_LAG_ROWS, submitted.saturating_sub(resolved));
         snap.add_counter(
             names::SNAPSHOTS_PUBLISHED,
-            self.shared.snapshots_published.load(Ordering::Relaxed),
+            generation.seq * generation.shards.len() as u64,
         );
         snap
     }
 
-    /// Serializes the latest published epoch as a checksummed snapshot,
-    /// byte-identical to [`ConcurrentEngine::to_snapshot_bytes`] on the
-    /// same published state.
+    /// Serializes the latest published generation as a checksummed
+    /// snapshot — **byte-identical to [`ShardedEngine::to_snapshot_bytes`]**
+    /// on the same shards, so state moves freely between the two
+    /// topologies.
     #[must_use]
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let shards: Vec<SketchEngine> = (0..self.num_shards)
-            .map(|i| (*self.published_shard(i)).clone())
-            .collect();
+        let generation = self.generation();
         ShardedEngine::from_restored_shards(
-            shards,
-            self.spec.clone(),
-            self.config,
-            self.channel_depth,
+            generation.engines().cloned().collect(),
+            generation.router.spec.clone(),
+            generation.shards[0].engine.config,
+            generation.router.channel_depth,
         )
         .to_snapshot_bytes()
     }
@@ -1039,45 +905,12 @@ impl Drop for ConcurrentEngine {
     }
 }
 
-/// Publishes one shard's current state as a fresh immutable snapshot,
-/// plus the slim [`EngineView`] cut from the same instant.
-fn publish(shared: &Shared, shard_id: usize, shard: &SketchEngine) {
-    let snap = Arc::new(shard.clone());
-    let view = Arc::new(shard.query_view());
-    *shared.published[shard_id].write() = snap;
-    *shared.views[shard_id].write() = view;
-    shared.epochs[shard_id].fetch_add(1, Ordering::Release);
-    shared.snapshots_published.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Unions the latest published per-shard views. Exact: routing places
-/// every group in exactly one shard, so no group merges across shards.
-fn merged_view(shared: &Shared, num_shards: usize) -> EngineView {
-    let mut out = (*Arc::clone(&shared.views[0].read())).clone();
-    for slot in &shared.views[1..num_shards] {
-        let v = Arc::clone(&slot.read());
-        out.merge(&v)
-            // lint: panic-ok(every shard view is cut from a shard built with one shared spec, so the merge cannot fail)
-            .expect("shard views share one spec");
-    }
-    out
-}
-
 /// One long-lived shard worker: owns its [`SketchEngine`] for the
-/// engine's lifetime, applying commands in order and publishing a new
-/// snapshot after every state change.
-fn worker_main(
-    mut shard: SketchEngine,
-    shard_id: usize,
-    shared: &Shared,
-    cmds: &channel::Receiver<Cmd>,
-) {
-    loop {
-        let Ok(cmd) = cmds.recv() else {
-            // Coordinator gone without a Shutdown: exit quietly (the
-            // coordinator's own supervisor flags the poisoning).
-            return;
-        };
+/// engine's lifetime and applies commands in order, replying to each
+/// state change with a fresh cut of the shard. A closed command channel
+/// means the coordinator is gone: the worker exits quietly.
+fn worker_main(mut shard: SketchEngine, id: usize, cmds: &channel::Receiver<Cmd>) {
+    while let Ok(cmd) = cmds.recv() {
         match cmd {
             Cmd::Ingest {
                 rows,
@@ -1090,79 +923,98 @@ fn worker_main(
                 // (the scoped version got this by dropping the receiver
                 // on return; long-lived workers must do it explicitly).
                 drop(indices);
-                let _ = outcome.send((shard_id, out));
+                let _ = outcome.send((id, out));
             }
-            Cmd::Commit { ack } => {
+            Cmd::Commit { done } => {
                 shard.commit_batch();
-                publish(shared, shard_id, &shard);
-                let _ = ack.send(());
+                let _ = done.send((id, ShardCut::of(&shard)));
             }
-            Cmd::Rollback { ack } => {
+            Cmd::Rollback { done } => {
+                // Rolled-back state equals the already-published state,
+                // so no cut: readers never see any of the torn batch.
                 shard.rollback_batch();
-                // Rolled-back state equals the already-published state, so
-                // no publish: readers never see any of the torn batch.
-                let _ = ack.send(());
+                let _ = done.send((id, ()));
             }
             Cmd::FlushWindow { done } => {
-                let result = shard.flush_window();
-                publish(shared, shard_id, &shard);
-                let _ = done.send(result);
+                let window = shard.flush_window();
+                let _ = done.send((id, (window, ShardCut::of(&shard))));
             }
-            Cmd::Merge { other, done } => {
-                let result = shard.merge(&other);
-                if result.is_ok() {
-                    publish(shared, shard_id, &shard);
-                }
-                let _ = done.send(result);
+            Cmd::Merge { others, done } => {
+                let merged = shard.merge(&others[id]).map(|()| ShardCut::of(&shard));
+                let _ = done.send((id, merged));
             }
-            Cmd::SetPolicy { policy, ack } => {
-                shard.set_fault_policy(policy);
-                let _ = ack.send(());
-            }
-            Cmd::ArmFaults { injector, ack } => {
-                shard.arm_faults(injector);
-                let _ = ack.send(());
+            Cmd::Configure { apply, done } => {
+                apply(&mut shard);
+                let _ = done.send((id, ()));
             }
             Cmd::DisarmFaults { done } => {
-                let _ = done.send(shard.disarm_faults());
+                let _ = done.send((id, shard.disarm_faults()));
             }
-            Cmd::SetMetricsEnabled { enabled, ack } => {
-                shard.set_metrics_enabled(enabled);
-                let _ = ack.send(());
-            }
-            Cmd::SetClock { clock, ack } => {
-                shard.set_clock(clock);
-                let _ = ack.send(());
-            }
+            Cmd::Retire(cut) => drop(cut),
             Cmd::Shutdown => return,
         }
     }
 }
 
-/// The coordinator: drains the submit queue, serializing every mutation
-/// across the worker pool with the same commit-all-or-rollback-all
-/// discipline as [`ShardedEngine::process_batch`].
-struct Coordinator {
-    spec: QuerySpec,
-    channel_depth: usize,
-    worker_txs: Vec<channel::Sender<Cmd>>,
-    worker_handles: Vec<std::thread::JoinHandle<()>>,
-    fault_policy: FaultPolicy,
-    router_dead: DeadLetters,
-    router_metrics: EngineMetrics,
+/// The shard worker threads and their command channels.
+struct Pool {
+    workers: Vec<channel::Sender<Cmd>>,
+    handles: Vec<std::thread::JoinHandle<()>>,
     shared: Arc<Shared>,
+}
+
+impl Pool {
+    /// Sends one command to every worker and collects every reply in
+    /// shard order. `None` — with the engine poisoned — if a worker died.
+    fn broadcast<T>(&self, make: impl Fn(Reply<T>) -> Cmd) -> Option<Vec<T>> {
+        let num = self.workers.len();
+        let (reply_tx, reply_rx) = channel::bounded(num);
+        for worker in &self.workers {
+            let _ = worker.send(make(reply_tx.clone()));
+        }
+        drop(reply_tx);
+        let mut replies: Vec<Option<T>> = (0..num).map(|_| None).collect();
+        for (shard, reply) in &reply_rx {
+            replies[shard] = Some(reply);
+        }
+        let replies: Option<Vec<T>> = replies.into_iter().collect();
+        if replies.is_none() {
+            self.shared.poison();
+        }
+        replies
+    }
+
+    fn shutdown(&mut self) {
+        for worker in &self.workers {
+            let _ = worker.send(Cmd::Shutdown);
+        }
+        self.workers.clear();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// The coordinator: drains the submit queue, running every job across
+/// the worker pool — batches through the shared [`Router`] protocol —
+/// and publishing one generation per job before answering it.
+struct Coordinator {
+    router: Router,
+    pool: Pool,
+    /// Shard cuts gathered by the job in hand; [`Self::publish`] swaps
+    /// them in.
+    cuts: Option<Vec<Arc<ShardCut>>>,
 }
 
 impl Coordinator {
     fn run(&mut self, jobs: &channel::Receiver<Job>) {
-        loop {
-            let Ok(job) = jobs.recv() else {
-                // Handle dropped without Shutdown (it always sends one,
-                // but be safe): stop the workers and exit.
-                self.shutdown_workers();
-                return;
-            };
-            match job {
+        let shared = Arc::clone(&self.pool.shared);
+        while let Ok(mut job) = jobs.recv() {
+            // Declared after the job, so should handling it panic, the
+            // engine is poisoned before the job's reply channel — and the
+            // submit queue behind it — disconnect.
+            let _poison = PoisonOnUnwind(&shared);
+            match &mut job {
                 Job::Ingest {
                     rows,
                     ctx,
@@ -1170,41 +1022,49 @@ impl Coordinator {
                     done,
                 } => {
                     let n = rows.len() as u64;
-                    if let Some(submitted_at) = submitted_at {
-                        let dequeued = self.router_metrics.clock.now_nanos();
-                        if self.router_metrics.enabled {
-                            self.router_metrics
+                    if let Some(submitted_at) = *submitted_at {
+                        let dequeued = self.router.metrics.clock.now_nanos();
+                        if self.router.metrics.enabled {
+                            self.router
+                                .metrics
                                 .stage_queue_wait
                                 .record_nanos(dequeued.saturating_sub(submitted_at));
                         }
                         ctx.child(Stage::QueueWait, submitted_at, dequeued);
                     }
-                    let result = self.handle_ingest(rows, &ctx);
-                    self.publish_router();
-                    self.shared.rows_resolved.fetch_add(n, Ordering::Relaxed);
-                    self.shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                    let result = self.handle_ingest(std::mem::take(rows), ctx);
+                    self.publish();
+                    shared.rows_resolved.fetch_add(n, Ordering::Relaxed);
+                    shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
                     // Resolve *after* publishing: a resolved ticket
                     // guarantees reads observe the batch.
                     let _ = done.send(result);
                 }
                 Job::FlushWindow { done } => {
                     let result = self.handle_flush_window();
-                    self.publish_router();
+                    self.publish();
                     let _ = done.send(result);
                 }
                 Job::MergeFrom { state, done } => {
-                    let (shards, dead, metrics) = *state;
-                    let result = self.handle_merge(shards, &dead, &metrics);
-                    self.publish_router();
+                    let (shards, other) = &mut **state;
+                    let result = self.handle_merge(std::mem::take(shards), other);
+                    self.publish();
                     let _ = done.send(result);
                 }
-                Job::SetPolicy { policy, done } => {
-                    self.fault_policy = policy;
-                    if let FaultPolicy::Quarantine { max_samples } = policy {
-                        self.router_dead.set_max_samples(max_samples);
-                    }
-                    self.broadcast_ack(|ack| Cmd::SetPolicy { policy, ack });
-                    self.publish_router();
+                Job::Configure {
+                    router,
+                    shard,
+                    done,
+                } => {
+                    router(&mut self.router);
+                    self.pool.broadcast(|done| Cmd::Configure {
+                        apply: Arc::clone(shard),
+                        done,
+                    });
+                    // Published so the submit path (which reads the
+                    // published router's clock and metrics switch) sees
+                    // the change immediately.
+                    self.publish();
                     let _ = done.send(());
                 }
                 Job::ArmFaults {
@@ -1212,78 +1072,53 @@ impl Coordinator {
                     injector,
                     done,
                 } => {
-                    let _ = done.send(self.handle_arm_faults(shard, injector));
+                    let _ = done.send(self.handle_arm_faults(*shard, std::mem::take(injector)));
                 }
                 Job::DisarmFaults { done } => {
-                    let mut out = Vec::new();
-                    for (i, tx) in self.worker_txs.iter().enumerate() {
-                        let (reply_tx, reply_rx) = channel::bounded(1);
-                        if tx.send(Cmd::DisarmFaults { done: reply_tx }).is_ok() {
-                            if let Ok(Some(injector)) = reply_rx.recv() {
-                                out.push((i, injector));
-                            }
-                        }
-                    }
-                    let _ = done.send(out);
-                }
-                Job::SetMetricsEnabled { enabled, done } => {
-                    self.router_metrics.enabled = enabled;
-                    self.broadcast_ack(|ack| Cmd::SetMetricsEnabled { enabled, ack });
-                    self.publish_router();
-                    let _ = done.send(());
-                }
-                Job::SetClock { clock, done } => {
-                    self.router_metrics.clock = clock.clone();
-                    self.broadcast_ack(|ack| Cmd::SetClock {
-                        clock: clock.clone(),
-                        ack,
-                    });
-                    // Publish so the submit path (which reads the
-                    // published router's clock for queue-wait stamps)
-                    // sees the new clock immediately.
-                    self.publish_router();
-                    let _ = done.send(());
+                    let armed = self
+                        .pool
+                        .broadcast(|done| Cmd::DisarmFaults { done })
+                        .unwrap_or_default();
+                    let armed = armed.into_iter().enumerate();
+                    let _ = done.send(armed.filter_map(|(i, inj)| Some((i, inj?))).collect());
                 }
                 Job::Crash => {
-                    // lint: panic-ok(drill hook: deterministic injected coordinator death, contained by the coordinator supervisor which poisons the engine)
+                    // lint: panic-ok(drill hook: deterministic injected coordinator death; the unwind guard poisons the engine)
                     panic!("{INJECTED_PANIC_MARKER}: injected coordinator crash (drill)");
                 }
-                Job::Shutdown => {
-                    self.shutdown_workers();
-                    return;
-                }
+                Job::Shutdown => break,
             }
         }
+        // Shut down, or the handle dropped without a Shutdown (it always
+        // sends one, but be safe).
+        self.pool.shutdown();
     }
 
-    /// Publishes the router-level state (dead letters, metrics, policy)
-    /// so reads see it without touching the coordinator.
-    fn publish_router(&self) {
-        *self.shared.router.write() = RouterPublished {
-            dead: self.router_dead.clone(),
-            metrics: self.router_metrics.clone(),
-            policy: self.fault_policy,
+    /// Swaps in the next generation — once per job, before the job is
+    /// answered. Fresh shard cuts (commit, flush, merge) bump the
+    /// sequence; otherwise the shard cuts carry over and only the router
+    /// state is republished.
+    fn publish(&mut self) {
+        let shared = &self.pool.shared;
+        let prev = Arc::clone(&shared.generation.read());
+        let (seq, shards) = match self.cuts.take() {
+            Some(cuts) => (prev.seq + 1, cuts),
+            None => (prev.seq, prev.shards.clone()),
         };
-    }
-
-    /// Sends one ack-carrying command to every worker and waits for all
-    /// acks. Returns `false` (and poisons the engine) if any worker died.
-    fn broadcast_ack(&self, make: impl Fn(channel::Sender<()>) -> Cmd) -> bool {
-        let num = self.worker_txs.len();
-        let (ack_tx, ack_rx) = channel::bounded(num);
-        let mut sent = 0usize;
-        for tx in &self.worker_txs {
-            if tx.send(make(ack_tx.clone())).is_ok() {
-                sent += 1;
+        let next = Arc::new(Generation {
+            seq,
+            shards,
+            router: self.router.clone(),
+        });
+        *shared.generation.write() = next;
+        // Deep-dropping the retired cuts is as costly as cutting them:
+        // hand each back to its worker so they drop in parallel, off the
+        // coordinator. A reader still holding the generation drops it.
+        if let Ok(retired) = Arc::try_unwrap(prev) {
+            for (worker, cut) in self.pool.workers.iter().zip(retired.shards) {
+                let _ = worker.send(Cmd::Retire(cut));
             }
         }
-        drop(ack_tx);
-        let acked = ack_rx.iter().count();
-        let ok = sent == num && acked == num;
-        if !ok {
-            self.shared.poisoned.store(true, Ordering::Release);
-        }
-        ok
     }
 
     fn handle_ingest(
@@ -1291,122 +1126,47 @@ impl Coordinator {
         rows: Vec<Row>,
         ctx: &TraceContext,
     ) -> Result<BatchSummary, BatchError> {
-        let num = self.worker_txs.len();
-        let max_field = self.spec.max_field();
-        if matches!(self.fault_policy, FaultPolicy::FailBatch) {
-            // Same router-level arity prevalidation as the sharded engine:
-            // under FailBatch nothing is ingested at all.
-            if let Some(idx) = rows.iter().position(|r| r.len() <= max_field) {
-                if self.router_metrics.enabled {
-                    self.router_metrics.batches_rolled_back.inc();
-                }
-                return Err(BatchError {
-                    row: Some(idx),
-                    shard: None,
-                    cause: BatchCause::Row(SketchError::invalid(
-                        "row",
-                        "row shorter than query fields",
-                    )),
-                });
-            }
-        }
-        let start = self.router_metrics.start_batch();
+        self.router.prevalidate(&rows)?;
+        let start = self.router.metrics.start_batch();
         // Stage clocking is needed when either consumer is live: the
         // aggregate stage histograms (metrics enabled) or this request's
         // trace (sampled).
-        let timed = self.router_metrics.enabled || ctx.is_sampled();
-        let apply_start = if timed {
-            self.router_metrics.clock.now_nanos()
-        } else {
-            0
-        };
+        let timed = self.router.metrics.enabled || ctx.is_sampled();
+        let clock = Arc::clone(&self.router.metrics.clock);
+        let now = || if timed { clock.now_nanos() } else { 0 };
+        let apply_start = now();
+        let num = self.pool.workers.len();
         let rows = Arc::new(rows);
         let (outcome_tx, outcome_rx) = channel::bounded(num);
-        let mut index_txs = Vec::with_capacity(num);
-        let mut dispatched = true;
-        for tx in &self.worker_txs {
-            let (idx_tx, idx_rx) = channel::bounded::<usize>(self.channel_depth);
-            if tx
-                .send(Cmd::Ingest {
-                    rows: Arc::clone(&rows),
-                    indices: idx_rx,
-                    outcome: outcome_tx.clone(),
-                })
-                .is_err()
-            {
-                dispatched = false;
-                break;
+        let mut senders = Vec::with_capacity(num);
+        for worker in &self.pool.workers {
+            let (idx_tx, idx_rx) = channel::bounded::<usize>(self.router.channel_depth);
+            let cmd = Cmd::Ingest {
+                rows: Arc::clone(&rows),
+                indices: idx_rx,
+                outcome: outcome_tx.clone(),
+            };
+            if worker.send(cmd).is_err() {
+                // A worker thread is gone before the batch even started:
+                // fail fast and poison.
+                self.pool.shared.poison();
+                self.router.metrics.finish_batch(start);
+                return Err(poisoned_batch_error());
             }
-            index_txs.push(idx_tx);
+            senders.push(idx_tx);
         }
         drop(outcome_tx);
-        if !dispatched {
-            // A worker thread is gone before the batch even started: no
-            // shard holds an undo log for it, so fail fast and poison.
-            drop(index_txs);
-            for _ in &outcome_rx {}
-            self.shared.poisoned.store(true, Ordering::Release);
-            self.router_metrics.finish_batch(start);
-            return Err(poisoned_batch_error());
-        }
-
-        // Route rows to shards; stage router-level quarantine locally so
-        // batch atomicity covers dead letters too.
-        let mut router_quarantine: Vec<QuarantinedRow> = Vec::new();
-        for (idx, row) in rows.iter().enumerate() {
-            if row.len() <= max_field {
-                // FailBatch pre-validated arity above, so reaching this
-                // branch means the policy is Quarantine.
-                router_quarantine.push(QuarantinedRow {
-                    row_index: idx,
-                    shard: None,
-                    reason: SketchError::invalid("row", "row shorter than query fields"),
-                    row: row.clone(),
-                });
-                continue;
-            }
-            let fields = self.spec.group_by.iter().map(|&i| &row[i]);
-            let s = (ShardedEngine::key_hash(fields) % num as u64) as usize;
-            if index_txs[s].send(idx).is_err() {
-                // The worker closed its index channel — it failed. Stop
-                // feeding; the supervisor below rolls everything back.
-                break;
-            }
-        }
-        drop(index_txs);
-
-        // Collect one outcome per worker; a missing outcome means the
-        // worker thread died mid-batch.
+        let quarantine = self.router.route(&rows, &senders);
+        drop(senders);
         let mut outcomes: Vec<Option<WorkerOutcome>> = (0..num).map(|_| None).collect();
-        for (shard_id, outcome) in &outcome_rx {
-            outcomes[shard_id] = Some(outcome);
-        }
-        let mut summary = BatchSummary::default();
-        let mut failures: Vec<(usize, Option<usize>, BatchCause)> = Vec::new();
-        let mut worker_died = false;
-        for (i, slot) in outcomes.into_iter().enumerate() {
-            match slot {
-                Some(out) => {
-                    summary.rows_ingested += out.ingested;
-                    summary.rows_quarantined += out.quarantined;
-                    if let Some((row, cause)) = out.failure {
-                        failures.push((i, row, cause));
-                    }
-                }
-                None => {
-                    worker_died = true;
-                    failures.push((
-                        i,
-                        None,
-                        BatchCause::WorkerPanic("shard worker thread died".to_string()),
-                    ));
-                }
-            }
+        for (shard, outcome) in &outcome_rx {
+            outcomes[shard] = Some(outcome);
         }
         if timed {
-            let apply_end = self.router_metrics.clock.now_nanos();
-            if self.router_metrics.enabled {
-                self.router_metrics
+            let apply_end = clock.now_nanos();
+            if self.router.metrics.enabled {
+                self.router
+                    .metrics
                     .stage_engine_apply
                     .record_nanos(apply_end.saturating_sub(apply_start));
             }
@@ -1421,162 +1181,91 @@ impl Coordinator {
             );
         }
 
-        let result = if failures.is_empty() {
-            let publish_start = if timed {
-                self.router_metrics.clock.now_nanos()
+        let worker_died = outcomes.iter().any(Option::is_none);
+        let pool = &self.pool;
+        let cuts = &mut self.cuts;
+        let mut publish_span = None;
+        let result = self.router.settle(outcomes, quarantine, |commit| {
+            if commit {
+                let publish_start = now();
+                let committed = pool.broadcast(|done| Cmd::Commit { done });
+                *cuts = Some(committed.ok_or_else(poisoned_batch_error)?);
+                publish_span = Some((publish_start, now()));
             } else {
-                0
-            };
-            if !self.broadcast_ack(|ack| Cmd::Commit { ack }) {
-                self.router_metrics.finish_batch(start);
-                return Err(poisoned_batch_error());
-            }
-            if timed {
-                let publish_end = self.router_metrics.clock.now_nanos();
-                if self.router_metrics.enabled {
-                    self.router_metrics
-                        .stage_publish
-                        .record_nanos(publish_end.saturating_sub(publish_start));
+                if worker_died {
+                    pool.shared.poison();
                 }
-                ctx.child(Stage::Publish, publish_start, publish_end);
+                pool.broadcast(|done| Cmd::Rollback { done })
+                    .ok_or_else(poisoned_batch_error)?;
             }
-            if self.router_metrics.enabled {
-                self.router_metrics.batches_committed.inc();
-                self.router_metrics
-                    .rows_quarantined
-                    .add(router_quarantine.len() as u64);
+            Ok(())
+        });
+        if let (true, Some((publish_start, publish_end))) = (timed, publish_span) {
+            if self.router.metrics.enabled {
+                self.router
+                    .metrics
+                    .stage_publish
+                    .record_nanos(publish_end.saturating_sub(publish_start));
             }
-            for q in router_quarantine {
-                summary.rows_quarantined += 1;
-                self.router_dead.record(q);
-            }
-            Ok(summary)
-        } else {
-            if worker_died {
-                self.shared.poisoned.store(true, Ordering::Release);
-            }
-            if !self.broadcast_ack(|ack| Cmd::Rollback { ack }) {
-                self.router_metrics.finish_batch(start);
-                return Err(poisoned_batch_error());
-            }
-            // Deterministic report: the earliest failing row across shards
-            // (failures without a row index sort last), then lowest shard.
-            failures.sort_by_key(|&(shard, row, _)| (row.unwrap_or(usize::MAX), shard));
-            let (shard, row, cause) = failures.swap_remove(0);
-            if self.router_metrics.enabled {
-                self.router_metrics.batches_rolled_back.inc();
-                if matches!(cause, BatchCause::WorkerPanic(_)) {
-                    self.router_metrics.panics_contained.inc();
-                }
-            }
-            Err(BatchError {
-                row,
-                shard: Some(shard),
-                cause,
-            })
-        };
-        self.router_metrics.finish_batch(start);
+            ctx.child(Stage::Publish, publish_start, publish_end);
+        }
+        self.router.metrics.finish_batch(start);
         result
     }
 
-    fn handle_flush_window(&mut self) -> SketchResult<Vec<(Vec<Value>, Vec<AggregateResult>)>> {
-        let mut replies = Vec::with_capacity(self.worker_txs.len());
-        for tx in &self.worker_txs {
-            let (reply_tx, reply_rx) = channel::bounded(1);
-            if tx.send(Cmd::FlushWindow { done: reply_tx }).is_err() {
-                self.shared.poisoned.store(true, Ordering::Release);
-                return Err(poisoned_sketch_error());
-            }
-            replies.push(reply_rx);
-        }
-        let mut out = Vec::new();
-        for reply in replies {
-            match reply.recv() {
-                Ok(result) => out.extend(result?),
-                Err(_) => {
-                    self.shared.poisoned.store(true, Ordering::Release);
-                    return Err(poisoned_sketch_error());
-                }
-            }
-        }
-        // Per-shard windows are each sorted; a full sort restores the
-        // global key order the sequential engine emits.
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        self.router_dead.clear();
-        Ok(out)
+    fn handle_flush_window(&mut self) -> SketchResult<WindowRows> {
+        let replies = self
+            .pool
+            .broadcast(|done| Cmd::FlushWindow { done })
+            .ok_or_else(poisoned_sketch_error)?;
+        let (windows, cuts): (Vec<_>, Vec<_>) = replies.into_iter().unzip();
+        self.cuts = Some(cuts);
+        self.router.flush_window(windows)
     }
 
-    fn handle_merge(
-        &mut self,
-        shards: Vec<SketchEngine>,
-        dead: &DeadLetters,
-        metrics: &EngineMetrics,
-    ) -> SketchResult<()> {
-        if shards.len() != self.worker_txs.len() {
-            return Err(SketchError::incompatible("shard counts differ"));
-        }
-        let mut replies = Vec::with_capacity(shards.len());
-        for (tx, other) in self.worker_txs.iter().zip(shards) {
-            let (reply_tx, reply_rx) = channel::bounded(1);
-            if tx
-                .send(Cmd::Merge {
-                    other: Box::new(other),
-                    done: reply_tx,
-                })
-                .is_err()
-            {
-                self.shared.poisoned.store(true, Ordering::Release);
-                return Err(poisoned_sketch_error());
-            }
-            replies.push(reply_rx);
-        }
-        for (i, reply) in replies.into_iter().enumerate() {
-            match reply.recv() {
-                Ok(result) => {
-                    result.map_err(|e| SketchError::incompatible(format!("shard {i}: {e}")))?
-                }
-                Err(_) => {
-                    self.shared.poisoned.store(true, Ordering::Release);
-                    return Err(poisoned_sketch_error());
-                }
-            }
-        }
-        self.router_dead.absorb(dead, None);
-        self.router_metrics.absorb(metrics);
+    fn handle_merge(&mut self, shards: Vec<SketchEngine>, other: &Router) -> SketchResult<()> {
+        let others = Arc::new(shards);
+        let replies = self
+            .pool
+            .broadcast(|done| Cmd::Merge {
+                others: Arc::clone(&others),
+                done,
+            })
+            .ok_or_else(poisoned_sketch_error)?;
+        let cuts = replies
+            .into_iter()
+            .enumerate()
+            .map(|(i, merged)| {
+                merged.map_err(|e| SketchError::incompatible(format!("shard {i}: {e}")))
+            })
+            .collect::<SketchResult<Vec<_>>>()?;
+        self.cuts = Some(cuts);
+        self.router.absorb(other);
         Ok(())
     }
 
-    fn handle_arm_faults(&mut self, shard: usize, injector: FaultInjector) -> SketchResult<()> {
-        let num = self.worker_txs.len();
-        let Some(tx) = self.worker_txs.get(shard) else {
+    fn handle_arm_faults(&self, shard: usize, injector: FaultInjector) -> SketchResult<()> {
+        let num = self.pool.workers.len();
+        let Some(worker) = self.pool.workers.get(shard) else {
             return Err(SketchError::invalid(
                 "shard",
                 format!("no shard {shard} (of {num})"),
             ));
         };
         let (ack_tx, ack_rx) = channel::bounded(1);
-        if tx
-            .send(Cmd::ArmFaults {
-                injector,
-                ack: ack_tx,
+        let apply: ShardFn = Arc::new(move |s| s.arm_faults(injector.clone()));
+        if worker
+            .send(Cmd::Configure {
+                apply,
+                done: ack_tx,
             })
             .is_err()
             || ack_rx.recv().is_err()
         {
-            self.shared.poisoned.store(true, Ordering::Release);
+            self.pool.shared.poison();
             return Err(poisoned_sketch_error());
         }
         Ok(())
-    }
-
-    fn shutdown_workers(&mut self) {
-        for tx in &self.worker_txs {
-            let _ = tx.send(Cmd::Shutdown);
-        }
-        self.worker_txs.clear();
-        for handle in self.worker_handles.drain(..) {
-            let _ = handle.join();
-        }
     }
 }
 

@@ -17,8 +17,8 @@
 //!   identical to the sequential engine.
 //! * [`concurrent`] — [`concurrent::ConcurrentEngine`]: serve while
 //!   ingesting — long-lived shard workers, a submit/poll batch API
-//!   ([`concurrent::BatchTicket`]), and epoch-published immutable
-//!   snapshots so reads never block behind ingest.
+//!   ([`concurrent::BatchTicket`]), and one published generation of
+//!   immutable shard snapshots so reads never block behind ingest.
 //! * [`exact`] — [`exact::ExactEngine`]: the same query model over exact
 //!   per-group state, the baseline of experiment E16.
 //! * [`fault`] — the fault model: transactional batches with typed

@@ -105,8 +105,9 @@ pub mod names {
     }
 
     /// The per-shard publish-epoch gauge name, `publish_epoch{shard="i"}`
-    /// — how many snapshots the shard has published; a frozen epoch under
-    /// live ingest means the shard stopped publishing.
+    /// — how many snapshots the shard has published (the concurrent
+    /// engine's generation sequence, equal on every shard); a frozen
+    /// epoch under live ingest means publishing stopped.
     #[must_use]
     pub fn publish_epoch(shard: usize) -> String {
         format!("publish_epoch{{shard=\"{shard}\"}}")
@@ -152,7 +153,8 @@ pub struct EngineMetrics {
     pub(crate) stage_queue_wait: LatencyHistogram,
     /// Shard-worker apply time (route + ingest + collect).
     pub(crate) stage_engine_apply: LatencyHistogram,
-    /// Commit broadcast + epoch snapshot publish time.
+    /// Commit broadcast time: every shard commits and cuts the snapshot
+    /// and view it publishes.
     pub(crate) stage_publish: LatencyHistogram,
 }
 

@@ -15,6 +15,11 @@
 //!   bounded channel — workers borrow the caller's `&[Row]`, so nothing is
 //!   cloned on the ingest path.
 //!
+//! The batch protocol itself — prevalidation, routing, router quarantine,
+//! the commit-or-rollback decision and its typed error — lives in the
+//! crate-private `Router`, which [`crate::ConcurrentEngine`] runs too.
+//! The two engines differ only in how their shards execute.
+//!
 //! # Consistency model
 //!
 //! While a batch is in flight, a shard's state lags the router by at most
@@ -55,24 +60,243 @@ const ROUTE_SEED: u64 = 0x0005_AAED_0C0D;
 /// [`crate::concurrent::ConcurrentEngine`].
 pub(crate) const DEFAULT_CHANNEL_DEPTH: usize = 1024;
 
+/// The ascending-key window listing every flush resolves to.
+pub(crate) type WindowRows = Vec<(Vec<Value>, Vec<AggregateResult>)>;
+
+/// The shard owning a grouping key: an order-sensitive hash of the key's
+/// values, modulo the shard count. Both multi-shard engines route with
+/// it, so they place every group on the same shard for a given count.
+pub(crate) fn shard_of<'a>(key: impl Iterator<Item = &'a Value>, num_shards: usize) -> usize {
+    let mut acc = ROUTE_SEED;
+    for v in key {
+        acc = mix64(acc ^ hash_item(v, ROUTE_SEED));
+    }
+    (acc % num_shards as u64) as usize
+}
+
+fn short_row() -> SketchError {
+    SketchError::invalid("row", "row shorter than query fields")
+}
+
+/// The multi-shard batch protocol and the router-level state it keeps,
+/// shared by [`ShardedEngine`] (scoped threads per batch) and
+/// [`crate::ConcurrentEngine`] (long-lived workers). An engine drives one
+/// batch as [`prevalidate`](Self::prevalidate) → start one worker per
+/// shard → [`route`](Self::route) → collect each worker's
+/// [`WorkerOutcome`] → [`settle`](Self::settle), supplying only how its
+/// shards run, commit and roll back.
+#[derive(Debug, Clone)]
+pub(crate) struct Router {
+    pub(crate) spec: QuerySpec,
+    /// Capacity of each router→worker row-index channel.
+    pub(crate) channel_depth: usize,
+    /// Poison-row policy, mirrored into every shard.
+    pub(crate) policy: FaultPolicy,
+    /// Rows the router itself quarantined (too short to project a
+    /// grouping key, so never routable to a shard).
+    pub(crate) dead: DeadLetters,
+    /// Batch-level telemetry. Row-level counters live in each shard; the
+    /// router bumps the batch counters and latency exactly once per
+    /// multi-shard batch (workers bypass the shards' own
+    /// `process_batch`, so nothing double-counts).
+    pub(crate) metrics: EngineMetrics,
+}
+
+impl Router {
+    pub(crate) fn new(spec: QuerySpec, channel_depth: usize) -> Self {
+        Self {
+            spec,
+            channel_depth,
+            policy: FaultPolicy::default(),
+            dead: DeadLetters::default(),
+            metrics: EngineMetrics::new(),
+        }
+    }
+
+    /// Under [`FaultPolicy::FailBatch`] the router must project every
+    /// grouping key, so arity is validated for the whole batch up front
+    /// and a short row rejects it before any shard ingests anything.
+    pub(crate) fn prevalidate(&self, rows: &[Row]) -> Result<(), BatchError> {
+        if !matches!(self.policy, FaultPolicy::FailBatch) {
+            return Ok(());
+        }
+        let max_field = self.spec.max_field();
+        match rows.iter().position(|r| r.len() <= max_field) {
+            // Counted as a rollback for parity with the sequential
+            // engine, which would ingest up to `idx` and roll back.
+            Some(idx) => Err(self.rolled_back(BatchError {
+                row: Some(idx),
+                shard: None,
+                cause: BatchCause::Row(short_row()),
+            })),
+            None => Ok(()),
+        }
+    }
+
+    /// Feeds every row index to its shard's channel and returns the rows
+    /// too short to route, staged for [`settle`](Self::settle) so batch
+    /// atomicity covers router dead letters too. Stops early when a
+    /// worker hangs up: it failed, and the batch will roll back.
+    pub(crate) fn route(
+        &self,
+        rows: &[Row],
+        senders: &[channel::Sender<usize>],
+    ) -> Vec<QuarantinedRow> {
+        let max_field = self.spec.max_field();
+        let mut quarantine = Vec::new();
+        for (idx, row) in rows.iter().enumerate() {
+            if row.len() <= max_field {
+                // FailBatch rejected short rows in `prevalidate`, so
+                // reaching this branch means the policy is Quarantine.
+                quarantine.push(QuarantinedRow {
+                    row_index: idx,
+                    shard: None,
+                    reason: short_row(),
+                    row: row.clone(),
+                });
+                continue;
+            }
+            let key = self.spec.group_by.iter().map(|&i| &row[i]);
+            if senders[shard_of(key, senders.len())].send(idx).is_err() {
+                break;
+            }
+        }
+        quarantine
+    }
+
+    /// Folds the workers' outcomes (`None`: the worker thread died
+    /// mid-batch) and finishes the batch. With no failure, `apply(true)`
+    /// commits every shard, then the router commits its quarantine;
+    /// otherwise `apply(false)` rolls every shard back and the earliest
+    /// failing row (failures without a row sort last), then the lowest
+    /// shard, is reported. An error from `apply` is returned as is.
+    pub(crate) fn settle(
+        &mut self,
+        outcomes: Vec<Option<WorkerOutcome>>,
+        quarantine: Vec<QuarantinedRow>,
+        apply: impl FnOnce(bool) -> Result<(), BatchError>,
+    ) -> Result<BatchSummary, BatchError> {
+        let mut summary = BatchSummary::default();
+        let mut failures = Vec::new();
+        for (shard, outcome) in outcomes.into_iter().enumerate() {
+            let out = outcome.unwrap_or_else(|| {
+                WorkerOutcome::failed(BatchCause::WorkerPanic(
+                    "shard worker thread died".to_string(),
+                ))
+            });
+            summary.rows_ingested += out.ingested;
+            summary.rows_quarantined += out.quarantined;
+            if let Some((row, cause)) = out.failure {
+                failures.push(BatchError {
+                    row,
+                    shard: Some(shard),
+                    cause,
+                });
+            }
+        }
+        apply(failures.is_empty())?;
+        if failures.is_empty() {
+            if self.metrics.enabled {
+                self.metrics.batches_committed.inc();
+                self.metrics.rows_quarantined.add(quarantine.len() as u64);
+            }
+            summary.rows_quarantined += quarantine.len();
+            for q in quarantine {
+                self.dead.record(q);
+            }
+            Ok(summary)
+        } else {
+            failures.sort_by_key(|e| (e.row.unwrap_or(usize::MAX), e.shard));
+            Err(self.rolled_back(failures.swap_remove(0)))
+        }
+    }
+
+    /// Counts one rolled-back batch — and a contained panic, when that
+    /// was the cause — and passes its error through.
+    pub(crate) fn rolled_back(&self, err: BatchError) -> BatchError {
+        if self.metrics.enabled {
+            self.metrics.batches_rolled_back.inc();
+            if matches!(err.cause, BatchCause::WorkerPanic(_)) {
+                self.metrics.panics_contained.inc();
+            }
+        }
+        err
+    }
+
+    /// Sets the poison-row policy (the caller mirrors it into shards).
+    pub(crate) fn set_policy(&mut self, policy: FaultPolicy) {
+        self.policy = policy;
+        if let FaultPolicy::Quarantine { max_samples } = policy {
+            self.dead.set_max_samples(max_samples);
+        }
+    }
+
+    /// Joins the per-shard window listings into the global ascending-key
+    /// order the sequential engine emits, and resets the router's dead
+    /// letters, which belong to the window. Stops at the first error.
+    pub(crate) fn flush_window(
+        &mut self,
+        shard_windows: impl IntoIterator<Item = SketchResult<WindowRows>>,
+    ) -> SketchResult<WindowRows> {
+        let mut out = Vec::new();
+        for window in shard_windows {
+            out.extend(window?);
+        }
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        self.dead.clear();
+        Ok(out)
+    }
+
+    /// Folds another router's dead letters and telemetry in (merge).
+    pub(crate) fn absorb(&mut self, other: &Self) {
+        self.dead.absorb(&other.dead, None);
+        self.metrics.absorb(&other.metrics);
+    }
+
+    /// The router's quarantine plus every shard's, with samples stamped
+    /// with their shard index.
+    pub(crate) fn dead_letters<'a>(
+        &self,
+        shards: impl Iterator<Item = &'a SketchEngine>,
+    ) -> DeadLetters {
+        let mut all = self.dead.clone();
+        for (i, shard) in shards.enumerate() {
+            all.absorb(&shard.dead_letters(), Some(i));
+        }
+        all
+    }
+
+    /// Telemetry merged across the router and every shard: counters and
+    /// gauges add, latency histograms KLL-merge (lossless — no averaged
+    /// percentiles), so the totals are exactly what a sequential engine
+    /// fed the same stream would report. Adds one
+    /// `shard_rows_routed{shard="i"}` gauge per shard, making routing
+    /// skew directly observable, and the shard count.
+    pub(crate) fn metrics<'a>(
+        &self,
+        shards: impl Iterator<Item = &'a SketchEngine>,
+    ) -> sketches_obs::MetricsSnapshot {
+        let mut snap = self.metrics.snapshot();
+        let mut num_shards = 0;
+        for (i, shard) in shards.enumerate() {
+            snap.merge(&shard.metrics())
+                // lint: panic-ok(every obs histogram shares one fixed (k, seed), so snapshot merge cannot fail)
+                .expect("obs snapshots share one KLL shape");
+            snap.add_gauge(&names::shard_rows_routed(i), shard.rows_processed());
+            num_shards += 1;
+        }
+        snap.add_gauge(names::SHARDS, num_shards);
+        snap
+    }
+}
+
 /// A sharded GROUP BY engine: N [`SketchEngine`] partitions driven in
 /// parallel, with per-group results identical to a single engine.
 #[derive(Debug, Clone)]
 pub struct ShardedEngine {
     pub(crate) shards: Vec<SketchEngine>,
-    pub(crate) spec: QuerySpec,
     pub(crate) config: EngineConfig,
-    pub(crate) channel_depth: usize,
-    /// Poison-row policy, mirrored into every shard.
-    fault_policy: FaultPolicy,
-    /// Rows the router itself quarantined (too short to project a grouping
-    /// key, so never routable to a shard).
-    router_dead: DeadLetters,
-    /// Batch-level telemetry owned by the router. Row-level counters live
-    /// in each shard; the router bumps the batch counters and latency
-    /// exactly once per multi-shard batch (workers bypass the shards'
-    /// own `process_batch`, so nothing double-counts).
-    router_metrics: EngineMetrics,
+    pub(crate) router: Router,
 }
 
 /// What one shard worker did with its slice of the batch. Shared with
@@ -82,8 +306,18 @@ pub(crate) struct WorkerOutcome {
     pub(crate) ingested: usize,
     pub(crate) quarantined: usize,
     /// `Some((row, cause))` if the worker failed (its shard still holds an
-    /// undo log; the supervisor decides commit vs rollback globally).
+    /// undo log; the router decides commit vs rollback globally).
     pub(crate) failure: Option<(Option<usize>, BatchCause)>,
+}
+
+impl WorkerOutcome {
+    fn failed(cause: BatchCause) -> Self {
+        Self {
+            ingested: 0,
+            quarantined: 0,
+            failure: Some((None, cause)),
+        }
+    }
 }
 
 impl ShardedEngine {
@@ -114,6 +348,23 @@ impl ShardedEngine {
         num_shards: usize,
         channel_depth: usize,
     ) -> SketchResult<Self> {
+        let shards = Self::new_shards(&spec, config, num_shards, channel_depth)?;
+        Ok(Self::from_restored_shards(
+            shards,
+            spec,
+            config,
+            channel_depth,
+        ))
+    }
+
+    /// Validates the topology and builds its empty shards (shared with
+    /// [`crate::ConcurrentEngine::with_config`]).
+    pub(crate) fn new_shards(
+        spec: &QuerySpec,
+        config: EngineConfig,
+        num_shards: usize,
+        channel_depth: usize,
+    ) -> SketchResult<Vec<SketchEngine>> {
         if num_shards == 0 {
             return Err(SketchError::invalid(
                 "num_shards",
@@ -123,18 +374,9 @@ impl ShardedEngine {
         if channel_depth == 0 {
             return Err(SketchError::invalid("channel_depth", "need capacity >= 1"));
         }
-        let shards = (0..num_shards)
+        (0..num_shards)
             .map(|_| SketchEngine::with_config(spec.clone(), config))
-            .collect::<SketchResult<Vec<_>>>()?;
-        Ok(Self {
-            shards,
-            spec,
-            config,
-            channel_depth,
-            fault_policy: FaultPolicy::default(),
-            router_dead: DeadLetters::default(),
-            router_metrics: EngineMetrics::new(),
-        })
+            .collect()
     }
 
     /// Rebuilds a sharded engine from restored parts (checkpoint restore;
@@ -147,28 +389,9 @@ impl ShardedEngine {
     ) -> Self {
         Self {
             shards,
-            spec,
             config,
-            channel_depth,
-            fault_policy: FaultPolicy::default(),
-            router_dead: DeadLetters::default(),
-            router_metrics: EngineMetrics::new(),
+            router: Router::new(spec, channel_depth),
         }
-    }
-
-    /// Order-sensitive hash of a grouping-key value sequence. Shared with
-    /// [`crate::concurrent::ConcurrentEngine`] so both topologies place
-    /// every group on the same shard for a given shard count.
-    pub(crate) fn key_hash<'a>(fields: impl Iterator<Item = &'a Value>) -> u64 {
-        let mut acc = ROUTE_SEED;
-        for v in fields {
-            acc = mix64(acc ^ hash_item(v, ROUTE_SEED));
-        }
-        acc
-    }
-
-    fn shard_of_key(&self, key: &[Value]) -> usize {
-        (Self::key_hash(key.iter()) % self.shards.len() as u64) as usize
     }
 
     /// Ingests a batch of rows, driving every shard from its own worker
@@ -188,28 +411,8 @@ impl ShardedEngine {
     /// when several shards fail, the earliest failing row (then lowest
     /// shard) is reported. The engine is unchanged.
     pub fn process_batch(&mut self, rows: &[Row]) -> Result<BatchSummary, BatchError> {
-        let max_field = self.spec.max_field();
-        if matches!(self.fault_policy, FaultPolicy::FailBatch) {
-            // The router must project grouping keys, so arity is validated
-            // for the whole batch up front — nothing is ingested at all.
-            if let Some(idx) = rows.iter().position(|r| r.len() <= max_field) {
-                // Counted as a rollback for parity with the sequential
-                // engine, which would ingest up to `idx` and roll back.
-                if self.router_metrics.enabled {
-                    self.router_metrics.batches_rolled_back.inc();
-                }
-                return Err(BatchError {
-                    row: Some(idx),
-                    shard: None,
-                    cause: BatchCause::Row(SketchError::invalid(
-                        "row",
-                        "row shorter than query fields",
-                    )),
-                });
-            }
-        }
-        let num = self.shards.len();
-        if num == 1 {
+        self.router.prevalidate(rows)?;
+        if self.shards.len() == 1 {
             // One shard is exactly the sequential engine; skip the
             // thread/channel machinery (the engine supervises its own
             // rollback).
@@ -218,121 +421,57 @@ impl ShardedEngine {
                 e
             });
         }
-        let start = self.router_metrics.start_batch();
-        let spec = &self.spec;
-        let depth = self.channel_depth;
+        let start = self.router.metrics.start_batch();
+        let router = &self.router;
         let shards = &mut self.shards;
-        // Router-level quarantine is staged locally and committed only if
-        // the batch succeeds (batch atomicity covers dead letters too).
-        let mut router_quarantine: Vec<QuarantinedRow> = Vec::new();
-        let scope_result = cb_thread::scope(|scope| {
-            let mut senders = Vec::with_capacity(num);
-            let mut handles = Vec::with_capacity(num);
-            for shard in shards.iter_mut() {
-                let (tx, rx) = channel::bounded::<usize>(depth);
-                senders.push(tx);
-                handles.push(scope.spawn(move |_| worker_ingest(shard, rows, &rx)));
-            }
-            for (idx, row) in rows.iter().enumerate() {
-                if row.len() <= max_field {
-                    // FailBatch pre-validated arity above, so reaching this
-                    // branch means the policy is Quarantine.
-                    router_quarantine.push(QuarantinedRow {
-                        row_index: idx,
-                        shard: None,
-                        reason: SketchError::invalid("row", "row shorter than query fields"),
-                        row: row.clone(),
-                    });
-                    continue;
-                }
-                let fields = spec.group_by.iter().map(|&i| &row[i]);
-                let s = (Self::key_hash(fields) % num as u64) as usize;
-                if senders[s].send(idx).is_err() {
-                    // The worker hung up early — it failed. Stop feeding;
-                    // the supervisor below rolls everything back.
-                    break;
-                }
-            }
+        let scoped = cb_thread::scope(|scope| {
+            let (senders, handles): (Vec<_>, Vec<_>) = shards
+                .iter_mut()
+                .map(|shard| {
+                    let (tx, rx) = channel::bounded::<usize>(router.channel_depth);
+                    (tx, scope.spawn(move |_| worker_ingest(shard, rows, &rx)))
+                })
+                .unzip();
+            let quarantine = router.route(rows, &senders);
             drop(senders);
-            handles
+            let outcomes = handles
                 .into_iter()
                 .map(|h| {
-                    h.join().unwrap_or_else(|payload| WorkerOutcome {
-                        ingested: 0,
-                        quarantined: 0,
-                        failure: Some((
-                            None,
-                            BatchCause::WorkerPanic(panic_message(payload.as_ref())),
-                        )),
-                    })
+                    Some(h.join().unwrap_or_else(|payload| {
+                        WorkerOutcome::failed(BatchCause::WorkerPanic(panic_message(
+                            payload.as_ref(),
+                        )))
+                    }))
                 })
-                .collect::<Vec<WorkerOutcome>>()
+                .collect();
+            (outcomes, quarantine)
         });
-        let worker_results = match scope_result {
-            Ok(v) => v,
+        let shards = &mut self.shards;
+        let result = match scoped {
+            Ok((outcomes, quarantine)) => self.router.settle(outcomes, quarantine, |commit| {
+                for shard in shards.iter_mut() {
+                    if commit {
+                        shard.commit_batch();
+                    } else {
+                        shard.rollback_batch();
+                    }
+                }
+                Ok(())
+            }),
             Err(payload) => {
                 // The scope itself panicked (outside any worker's own
                 // supervisor). Roll back whatever the workers did.
-                for shard in self.shards.iter_mut() {
+                for shard in shards.iter_mut() {
                     shard.rollback_batch();
                 }
-                if self.router_metrics.enabled {
-                    self.router_metrics.batches_rolled_back.inc();
-                    self.router_metrics.panics_contained.inc();
-                }
-                self.router_metrics.finish_batch(start);
-                return Err(BatchError {
+                Err(self.router.rolled_back(BatchError {
                     row: None,
                     shard: None,
                     cause: BatchCause::WorkerPanic(panic_message(payload.as_ref())),
-                });
+                }))
             }
         };
-        let mut summary = BatchSummary::default();
-        let mut failures: Vec<(usize, Option<usize>, BatchCause)> = Vec::new();
-        for (i, out) in worker_results.into_iter().enumerate() {
-            summary.rows_ingested += out.ingested;
-            summary.rows_quarantined += out.quarantined;
-            if let Some((row, cause)) = out.failure {
-                failures.push((i, row, cause));
-            }
-        }
-        let result = if failures.is_empty() {
-            for shard in self.shards.iter_mut() {
-                shard.commit_batch();
-            }
-            if self.router_metrics.enabled {
-                self.router_metrics.batches_committed.inc();
-                self.router_metrics
-                    .rows_quarantined
-                    .add(router_quarantine.len() as u64);
-            }
-            for q in router_quarantine {
-                summary.rows_quarantined += 1;
-                self.router_dead.record(q);
-            }
-            Ok(summary)
-        } else {
-            for shard in self.shards.iter_mut() {
-                shard.rollback_batch();
-            }
-            // Deterministic report: the earliest failing row across shards
-            // (failures without a row index sort last), then lowest shard.
-            failures.sort_by_key(|&(shard, row, _)| (row.unwrap_or(usize::MAX), shard));
-            let (shard, row, cause) = failures.swap_remove(0);
-            if self.router_metrics.enabled {
-                self.router_metrics.batches_rolled_back.inc();
-                if matches!(cause, BatchCause::WorkerPanic(_)) {
-                    self.router_metrics.panics_contained.inc();
-                }
-            }
-            Err(BatchError {
-                row,
-                shard: Some(shard),
-                cause,
-            })
-        };
-        self.router_metrics.finish_batch(start);
+        self.router.metrics.finish_batch(start);
         result
     }
 
@@ -342,7 +481,7 @@ impl ShardedEngine {
     /// # Errors
     /// Returns an error only for internal sketch query failures.
     pub fn report(&self, key: &[Value]) -> SketchResult<Option<Vec<AggregateResult>>> {
-        self.shards[self.shard_of_key(key)].report(key)
+        self.shards[shard_of(key.iter(), self.shards.len())].report(key)
     }
 
     /// Finishes a tumbling window: every group's report in ascending key
@@ -354,15 +493,8 @@ impl ShardedEngine {
     /// # Errors
     /// Propagates report errors.
     pub fn flush_window(&mut self) -> SketchResult<Vec<(Vec<Value>, Vec<AggregateResult>)>> {
-        let mut out = Vec::new();
-        for shard in &mut self.shards {
-            out.extend(shard.flush_window()?);
-        }
-        // Per-shard windows are each sorted; a full sort restores the
-        // global key order the sequential engine emits.
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        self.router_dead.clear();
-        Ok(out)
+        let windows = self.shards.iter_mut().map(SketchEngine::flush_window);
+        self.router.flush_window(windows)
     }
 
     /// Merges another sharded engine's state (distributed GROUP BY over
@@ -380,8 +512,7 @@ impl ShardedEngine {
             a.merge(b)
                 .map_err(|e| SketchError::incompatible(format!("shard {i}: {e}")))?;
         }
-        self.router_dead.absorb(other.router_dead(), None);
-        self.router_metrics.absorb(&other.router_metrics);
+        self.router.absorb(&other.router);
         Ok(())
     }
 
@@ -392,7 +523,7 @@ impl ShardedEngine {
     /// Propagates merge errors (impossible for shards minted by this
     /// engine, which share spec and config).
     pub fn collapse(&self) -> SketchResult<SketchEngine> {
-        let mut out = SketchEngine::with_config(self.spec.clone(), self.config)?;
+        let mut out = SketchEngine::with_config(self.router.spec.clone(), self.config)?;
         for shard in &self.shards {
             out.merge(shard)?;
         }
@@ -438,16 +569,13 @@ impl ShardedEngine {
     /// Current poison-row policy.
     #[must_use]
     pub fn fault_policy(&self) -> FaultPolicy {
-        self.fault_policy
+        self.router.policy
     }
 
     /// Sets the poison-row policy, mirroring it into every shard so the
     /// router and workers agree on how malformed rows are handled.
     pub fn set_fault_policy(&mut self, policy: FaultPolicy) {
-        self.fault_policy = policy;
-        if let FaultPolicy::Quarantine { max_samples } = policy {
-            self.router_dead.set_max_samples(max_samples);
-        }
+        self.router.set_policy(policy);
         for shard in &mut self.shards {
             shard.set_fault_policy(policy);
         }
@@ -490,7 +618,7 @@ impl ShardedEngine {
     /// quarantines are aggregated by [`dead_letters`](Self::dead_letters).
     #[must_use]
     pub fn router_dead(&self) -> &DeadLetters {
-        &self.router_dead
+        &self.router.dead
     }
 
     /// Aggregated dead-letter view: the router's own quarantine plus every
@@ -499,36 +627,23 @@ impl ShardedEngine {
     /// [`SketchEngine::dead_letters`]).
     #[must_use]
     pub fn dead_letters(&self) -> DeadLetters {
-        let mut all = self.router_dead.clone();
-        for (i, shard) in self.shards.iter().enumerate() {
-            all.absorb(&shard.dead_letters(), Some(i));
-        }
-        all
+        self.router.dead_letters(self.shards.iter())
     }
 
     /// Cuts a telemetry snapshot merged across the router and every
-    /// shard: counters and gauges add, latency histograms KLL-merge
-    /// (lossless — no averaged percentiles), so the totals are exactly
-    /// what a sequential engine fed the same stream would report. Also
-    /// exports one `shard_rows_routed{shard="i"}` gauge per shard, making
-    /// routing skew directly observable.
+    /// shard: counters and gauges add, latency histograms KLL-merge, so
+    /// the totals are exactly what a sequential engine fed the same
+    /// stream would report. Also exports one
+    /// `shard_rows_routed{shard="i"}` gauge per shard.
     #[must_use]
     pub fn metrics(&self) -> sketches_obs::MetricsSnapshot {
-        let mut snap = self.router_metrics.snapshot();
-        for (i, shard) in self.shards.iter().enumerate() {
-            snap.merge(&shard.metrics())
-                // lint: panic-ok(every obs histogram shares one fixed (k, seed), so snapshot merge cannot fail)
-                .expect("obs snapshots share one KLL shape");
-            snap.add_gauge(&names::shard_rows_routed(i), shard.rows_processed());
-        }
-        snap.add_gauge(names::SHARDS, self.shards.len() as u64);
-        snap
+        self.router.metrics(self.shards.iter())
     }
 
     /// Enables or disables metric recording on the router and every
     /// shard (on by default).
     pub fn set_metrics_enabled(&mut self, enabled: bool) {
-        self.router_metrics.enabled = enabled;
+        self.router.metrics.enabled = enabled;
         for shard in &mut self.shards {
             shard.set_metrics_enabled(enabled);
         }
@@ -537,7 +652,7 @@ impl ShardedEngine {
     /// Installs the time source behind the batch-latency histograms on
     /// the router and every shard (see [`SketchEngine::set_clock`]).
     pub fn set_clock(&mut self, clock: std::sync::Arc<dyn sketches_obs::Clock>) {
-        self.router_metrics.clock = clock.clone();
+        self.router.metrics.clock = clock.clone();
         for shard in &mut self.shards {
             shard.set_clock(clock.clone());
         }
@@ -547,7 +662,7 @@ impl ShardedEngine {
 /// One shard worker's ingest loop, supervised: panics inside
 /// [`SketchEngine::ingest_row`] (including injected ones) are contained
 /// here and reported as a [`BatchCause::WorkerPanic`], leaving the shard's
-/// undo log intact so the supervisor can roll the whole batch back.
+/// undo log intact so the router can roll the whole batch back.
 /// Shared with [`crate::concurrent::ConcurrentEngine`]'s long-lived
 /// workers, so both topologies ingest identically.
 pub(crate) fn worker_ingest(

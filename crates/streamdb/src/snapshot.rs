@@ -129,7 +129,7 @@ impl Snapshot {
             }
             Self::Sharded(sharded) => {
                 let mut w = ByteWriter::new();
-                w.put_u64(sharded.channel_depth as u64);
+                w.put_u64(sharded.router.channel_depth as u64);
                 w.put_u32(sharded.shards.len() as u32);
                 for shard in &sharded.shards {
                     let mut sw = ByteWriter::new();

@@ -28,8 +28,8 @@
 //! +-------+---------+---------------------+-------------------+
 //! ```
 //!
-//! This is what ships: the concurrent engine epoch-publishes per-shard
-//! views alongside its fat snapshots, cross-shard reads merge views, and
+//! This is what ships: the concurrent engine publishes per-shard views
+//! alongside its fat snapshots, cross-shard reads merge views, and
 //! the serving layer's `/v1/view` endpoint transfers view bytes instead
 //! of fat checkpoints. Checkpoints and the WAL stay fat deliberately —
 //! recovery must be byte-exact, and a view cannot resume ingest.

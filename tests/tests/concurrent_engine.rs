@@ -10,8 +10,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use sketches::streamdb::{
-    Aggregate, CheckpointPolicy, ConcurrentEngine, DurableEngine, FaultPolicy, QuerySpec, Row,
-    ShardedEngine, SketchEngine, Value,
+    Aggregate, AggregateResult, CheckpointPolicy, ConcurrentEngine, DurableEngine, FaultPolicy,
+    QuerySpec, Row, ShardedEngine, SketchEngine, Value,
 };
 use sketches_workloads::serving::ServingWorkload;
 
@@ -431,4 +431,140 @@ fn shutdown_with_in_flight_submissions_resolves_every_ticket() {
         resolved_rows, submitted_rows,
         "every batch submitted before shutdown must land in full"
     );
+}
+
+/// What the sequential engine holds after one committed prefix of the
+/// stream: the oracle every published read is checked against.
+struct Prefix {
+    rows: u64,
+    groups: usize,
+    reports: Vec<Option<Vec<AggregateResult>>>,
+}
+
+impl Prefix {
+    fn of(seq: &SketchEngine, keys: &[Vec<Value>]) -> Self {
+        Self {
+            rows: seq.rows_processed(),
+            groups: seq.num_groups(),
+            reports: keys
+                .iter()
+                .map(|k| seq.report(k).expect("seq report"))
+                .collect(),
+        }
+    }
+}
+
+/// The consistent-cut oracle. A seeded writer streams many small batches,
+/// one of them a poison batch that rolls back, while reader threads spin
+/// on a `ReadHandle`. Every observed `rows_processed()`, `num_groups()`
+/// and `query_view()` must equal the sequential engine's state after
+/// *some* committed prefix — and a view must match one prefix on its row
+/// count, group count and every sampled key's report at once, so a read
+/// that straddles a batch (some shards published it, others not) fails.
+#[test]
+fn reads_observe_one_committed_prefix_across_shards() {
+    const BATCHES: usize = 60;
+    const ROWS: usize = 200;
+    const POISON_AT: usize = 23;
+    let mut wl = ServingWorkload::new(5_000, 1.1, 71).expect("workload");
+    let mut batches: Vec<Vec<Row>> = wl
+        .batches(BATCHES, ROWS)
+        .iter()
+        .map(|b| {
+            b.iter()
+                .map(|e| {
+                    vec![
+                        Value::U64(e.group),
+                        Value::U64(e.user % 10_000),
+                        Value::F64(e.value),
+                    ]
+                })
+                .collect()
+        })
+        .collect();
+    // A string where the summed field must be numeric: the batch fails
+    // on one shard and every shard rolls back.
+    batches[POISON_AT].insert(
+        ROWS / 2,
+        vec![
+            Value::U64(1),
+            Value::U64(2),
+            Value::Str("not-a-number".to_string()),
+        ],
+    );
+    // Sampled keys: hot groups plus groups first seen at spread-out
+    // points of the stream.
+    let mut keys: Vec<Vec<Value>> = (1..5u64).map(|g| vec![Value::U64(g)]).collect();
+    keys.extend(
+        batches
+            .iter()
+            .step_by(5)
+            .map(|b| vec![b[ROWS - 1][0].clone()]),
+    );
+
+    let mut seq = SketchEngine::new(spec()).expect("engine");
+    let mut prefixes = vec![Prefix::of(&seq, &keys)];
+    for (i, batch) in batches.iter().enumerate() {
+        if i != POISON_AT {
+            seq.process_batch(batch).expect("seq");
+            prefixes.push(Prefix::of(&seq, &keys));
+        }
+    }
+    let prefix_with_rows = |rows: u64| prefixes.iter().position(|p| p.rows == rows);
+
+    let engine = ConcurrentEngine::new(spec(), SHARDS).expect("engine");
+    let reader = engine.reader();
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let (reader, stop, prefixes, keys) = (&reader, &stop, &prefixes, &keys);
+                s.spawn(move || {
+                    let mut views = 0u64;
+                    let mut last_rows = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        let view = reader.query_view();
+                        let at = prefix_with_rows(view.rows_processed()).unwrap_or_else(|| {
+                            panic!(
+                                "view holds {} rows: no committed prefix",
+                                view.rows_processed()
+                            )
+                        });
+                        assert_eq!(view.num_groups(), prefixes[at].groups, "prefix {at}");
+                        for (key, want) in keys.iter().zip(&prefixes[at].reports) {
+                            let got = view.report(key).expect("view report");
+                            assert_eq!(&got, want, "group {key:?} at prefix {at}");
+                        }
+                        let rows = reader.rows_processed();
+                        assert!(prefix_with_rows(rows).is_some(), "{rows} rows: no prefix");
+                        assert!(rows >= last_rows, "published rows went backwards");
+                        last_rows = rows;
+                        let groups = reader.num_groups();
+                        assert!(
+                            prefixes.iter().any(|p| p.groups == groups),
+                            "{groups} groups: no prefix"
+                        );
+                        views += 1;
+                    }
+                    views
+                })
+            })
+            .collect();
+
+        for (i, batch) in batches.iter().enumerate() {
+            let result = engine.submit_batch(batch.clone()).wait();
+            if i == POISON_AT {
+                assert_eq!(result.expect_err("poison batch").row, Some(ROWS / 2));
+            } else {
+                result.expect("batch");
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        for r in readers {
+            assert!(r.join().expect("reader thread") > 0, "a reader never read");
+        }
+    });
+    let last = prefixes.last().expect("prefixes");
+    assert_eq!(reader.rows_processed(), last.rows);
+    assert_eq!(reader.num_groups(), last.groups);
 }
